@@ -18,7 +18,7 @@ use crate::router::DataRouter;
 use odh_sql::ast::AggFunc;
 use odh_sql::column::{ColVec, ColumnBatch};
 use odh_sql::provider::{AggRequest, ColumnFilter, ColumnarScan, ScanRequest, TableProvider};
-use odh_storage::{ColumnarChunk, OdhTable, RangeAggregate, ScanPoint, TagSummary};
+use odh_storage::{ColumnarChunk, OdhTable, RangeAggregate, ScanPoint};
 use odh_types::{Datum, RelSchema, Result, Row, SourceId, Timestamp};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
@@ -210,82 +210,68 @@ impl VirtualTable {
         Some((source, t1, t2))
     }
 
-    /// Run [`OdhTable::aggregate_range`] on the server(s) holding this
-    /// type and merge the per-server partials.
-    fn aggregate_cluster(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-    ) -> Result<RangeAggregate> {
-        let empty = || RangeAggregate { rows: 0, tags: vec![TagSummary::empty(); tags.len()] };
-        if t1 > t2 {
-            return Ok(empty());
-        }
-        if let Some(sid) = source {
-            // Partition elimination, as in `scan`: one source, one server.
-            let server_idx = match self.router.route_source(sid) {
-                Ok(idx) => idx,
-                // An id that was never registered matches nothing: the
-                // zero-row aggregate.
-                Err(e) if e.kind() == "not_found" => return Ok(empty()),
-                Err(e) => return Err(e),
-            };
-            let table = self.cluster.servers()[server_idx].table(&self.schema_type)?;
-            return table.aggregate_range(Some(sid), t1, t2, tags);
-        }
-        let servers = self.router.route_type(&self.schema_type)?;
-        let mut total = empty();
-        for &idx in &servers {
-            let table = self.cluster.servers()[idx].table(&self.schema_type)?;
-            let part = table.aggregate_range(None, t1, t2, tags)?;
-            total.rows += part.rows;
-            for (a, b) in total.tags.iter_mut().zip(&part.tags) {
-                a.merge(b);
+    /// Map each aggregate to a slot in the folded tag summaries: `None`
+    /// for COUNT(*), else the position of its tag in the returned tag
+    /// list. Only COUNT(*) and tag-column aggregates are summary-
+    /// answerable; anything else (aggregates over id/timestamp) declines
+    /// to the row path.
+    fn agg_slots(&self, aggs: &[AggRequest]) -> Option<(Vec<usize>, Vec<Option<usize>>)> {
+        let mut tags: Vec<usize> = Vec::new();
+        let mut slots = Vec::with_capacity(aggs.len());
+        for a in aggs {
+            match a.input {
+                None if a.func == AggFunc::Count => slots.push(None),
+                Some(c) if c >= 2 && c - 2 < self.tag_count => {
+                    let tag = c - 2;
+                    let pos = tags.iter().position(|&t| t == tag).unwrap_or_else(|| {
+                        tags.push(tag);
+                        tags.len() - 1
+                    });
+                    slots.push(Some(pos));
+                }
+                _ => return None,
             }
         }
-        Ok(total)
+        Some((tags, slots))
     }
 
-    /// Run [`OdhTable::bucket_aggregate`] on the server(s) holding this
-    /// type and merge the per-server bucket partials.
-    fn bucket_cluster(
+    /// Fold `tags` on the server(s) holding this type and merge the
+    /// per-server partials bucket by bucket: [`OdhTable::bucket_aggregate`]
+    /// with an interval, [`OdhTable::aggregate_range`] (one bucket, key 0)
+    /// without.
+    fn fold_cluster(
         &self,
         source: Option<SourceId>,
         t1: Timestamp,
         t2: Timestamp,
-        interval_us: i64,
+        interval: Option<i64>,
         tags: &[usize],
     ) -> Result<BTreeMap<i64, RangeAggregate>> {
+        let mut total = BTreeMap::new();
         if t1 > t2 {
-            return Ok(BTreeMap::new());
+            return Ok(total);
         }
-        if let Some(sid) = source {
-            let server_idx = match self.router.route_source(sid) {
-                Ok(idx) => idx,
-                Err(e) if e.kind() == "not_found" => return Ok(BTreeMap::new()),
+        let servers = match source {
+            // Partition elimination, as in `scan`: one source, one server.
+            Some(sid) => match self.router.route_source(sid) {
+                Ok(idx) => vec![idx],
+                // An id that was never registered matches nothing.
+                Err(e) if e.kind() == "not_found" => return Ok(total),
                 Err(e) => return Err(e),
-            };
-            let table = self.cluster.servers()[server_idx].table(&self.schema_type)?;
-            return table.bucket_aggregate(Some(sid), t1, t2, interval_us, tags);
-        }
-        let servers = self.router.route_type(&self.schema_type)?;
-        let mut total: BTreeMap<i64, RangeAggregate> = BTreeMap::new();
-        for &idx in &servers {
+            },
+            None => self.router.route_type(&self.schema_type)?,
+        };
+        for idx in servers {
             let table = self.cluster.servers()[idx].table(&self.schema_type)?;
-            for (start, part) in table.bucket_aggregate(None, t1, t2, interval_us, tags)? {
-                match total.entry(start) {
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        let a = e.get_mut();
-                        a.rows += part.rows;
-                        for (x, y) in a.tags.iter_mut().zip(&part.tags) {
-                            x.merge(y);
-                        }
-                    }
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(part);
-                    }
+            let parts = match interval {
+                Some(i) => table.bucket_aggregate(source, t1, t2, i, tags)?,
+                None => BTreeMap::from([(0, table.aggregate_range(source, t1, t2, tags)?)]),
+            };
+            for (start, part) in parts {
+                let slot = total.entry(start).or_insert_with(|| RangeAggregate::empty(tags.len()));
+                slot.rows += part.rows;
+                for (a, b) in slot.tags.iter_mut().zip(&part.tags) {
+                    a.merge(b);
                 }
             }
         }
@@ -545,26 +531,9 @@ impl TableProvider for VirtualTable {
             return None;
         }
         let (source, t1, t2) = Self::agg_bounds(filters)?;
-        // Same slot mapping as `aggregate_scan`: COUNT(*) plus
-        // tag-column aggregates; anything else declines.
-        let mut tags: Vec<usize> = Vec::new();
-        let mut slots: Vec<Option<usize>> = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            match a.input {
-                None if a.func == AggFunc::Count => slots.push(None),
-                Some(c) if c >= 2 && c - 2 < self.tag_count => {
-                    let tag = c - 2;
-                    let pos = tags.iter().position(|&t| t == tag).unwrap_or_else(|| {
-                        tags.push(tag);
-                        tags.len() - 1
-                    });
-                    slots.push(Some(pos));
-                }
-                _ => return None,
-            }
-        }
+        let (tags, slots) = self.agg_slots(aggs)?;
         Some((|| {
-            let buckets = self.bucket_cluster(source, t1, t2, interval_us, &tags)?;
+            let buckets = self.fold_cluster(source, t1, t2, Some(interval_us), &tags)?;
             let meter = self.cluster.meter();
             meter.cpu(meter.costs.vti_cell_assemble * (buckets.len() * aggs.len()) as f64);
             Ok(buckets
@@ -588,27 +557,10 @@ impl TableProvider for VirtualTable {
         aggs: &[AggRequest],
     ) -> Option<Result<Vec<Datum>>> {
         let (source, t1, t2) = Self::agg_bounds(filters)?;
-        // Map each aggregate to a slot in the folded tag summaries; only
-        // COUNT(*) and tag-column aggregates are summary-answerable
-        // (aggregates over id/timestamp fall back to the row path).
-        let mut tags: Vec<usize> = Vec::new();
-        let mut slots: Vec<Option<usize>> = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            match a.input {
-                None if a.func == AggFunc::Count => slots.push(None),
-                Some(c) if c >= 2 && c - 2 < self.tag_count => {
-                    let tag = c - 2;
-                    let pos = tags.iter().position(|&t| t == tag).unwrap_or_else(|| {
-                        tags.push(tag);
-                        tags.len() - 1
-                    });
-                    slots.push(Some(pos));
-                }
-                _ => return None,
-            }
-        }
+        let (tags, slots) = self.agg_slots(aggs)?;
         Some((|| {
-            let agg = self.aggregate_cluster(source, t1, t2, &tags)?;
+            let mut buckets = self.fold_cluster(source, t1, t2, None, &tags)?;
+            let agg = buckets.remove(&0).unwrap_or_else(|| RangeAggregate::empty(tags.len()));
             // One result row's worth of VTI assembly.
             let meter = self.cluster.meter();
             meter.cpu(meter.costs.vti_cell_assemble * aggs.len() as f64);

@@ -406,8 +406,6 @@ fn order_aggregate_output(plan: &Plan, mut rows: Vec<Row>) -> Result<Vec<Row>> {
     Ok(rows)
 }
 
-/// The aggregate-pushdown request for a plan whose *shape* allows a native
-/// answer: exactly one table, no GROUP BY, aggregate-only outputs, and
 /// Process-wide ablation switch for the aggregate fast path. On by
 /// default; benches flip it off to measure what summary pushdown saves
 /// (the row path gives identical answers, just by decoding blobs).
@@ -440,6 +438,8 @@ pub fn vectorized_enabled() -> bool {
     VECTORIZED_ENABLED.load(std::sync::atomic::Ordering::SeqCst)
 }
 
+/// The aggregate-pushdown request for a plan whose *shape* allows a native
+/// answer: exactly one table, no GROUP BY, aggregate-only outputs, and
 /// every residual predicate already implied by a pushed filter (so no row
 /// the provider aggregates was meant to be dropped). `None` otherwise.
 /// Whether the provider actually accepts is its own decision.

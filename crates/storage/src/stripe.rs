@@ -183,12 +183,17 @@ impl StripedBuffers {
     }
 
     /// Take every non-empty per-source buffer (flush). Shards are drained
-    /// one at a time; each lock is held only for the take.
-    pub fn drain_sources(&self) -> Vec<(u64, DrainedRows)> {
+    /// one at a time; each lock is held only for the take, and `on_take`
+    /// sees each source's taken timestamps while its shard is still locked.
+    pub fn drain_sources(&self, mut on_take: impl FnMut(u64, &[i64])) -> Vec<(u64, DrainedRows)> {
         let mut out = Vec::new();
         for shard in &self.source {
             let mut g = self.lock_counted(shard);
-            out.extend(g.iter_mut().filter(|(_, b)| !b.is_empty()).map(|(id, b)| (*id, b.take())));
+            for (id, b) in g.iter_mut().filter(|(_, b)| !b.is_empty()) {
+                let rows = b.take();
+                on_take(*id, &rows.0);
+                out.push((*id, rows));
+            }
         }
         out
     }
@@ -244,7 +249,7 @@ mod tests {
         assert_eq!(s.points(), 100);
         assert_eq!(s.buffered_totals(), (100, 100));
         assert_eq!(s.min_first_lsn(), Some(1));
-        let drained = s.drain_sources();
+        let drained = s.drain_sources(|_, _| {});
         assert_eq!(drained.len(), 100);
         assert_eq!(s.points(), 0);
         assert_eq!(s.min_first_lsn(), None);

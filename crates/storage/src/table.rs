@@ -219,10 +219,15 @@ pub struct RangeAggregate {
 }
 
 impl RangeAggregate {
-    /// Fold one row of projected values (from an open ingest buffer).
-    fn add_row(&mut self, values: &[Option<f64>]) {
+    /// The aggregate of no rows over `tags_n` tags.
+    pub fn empty(tags_n: usize) -> RangeAggregate {
+        RangeAggregate { rows: 0, tags: vec![TagSummary::empty(); tags_n] }
+    }
+
+    /// Fold one row of projected values.
+    fn add_row(&mut self, values: impl IntoIterator<Item = Option<f64>>) {
         self.rows += 1;
-        for (s, &v) in self.tags.iter_mut().zip(values) {
+        for (s, v) in self.tags.iter_mut().zip(values) {
             s.add(v);
         }
     }
@@ -259,6 +264,34 @@ impl ColumnarChunk {
         self.ts.is_empty()
     }
 
+    /// Source of row `row`.
+    fn source_at(&self, row: usize) -> SourceId {
+        self.source.unwrap_or_else(|| self.ids.as_ref().expect("mixed chunks carry ids")[row])
+    }
+
+    /// Requested tag values of row `row`.
+    fn values_at(&self, row: usize) -> impl Iterator<Item = Option<f64>> + '_ {
+        self.cols.iter().map(move |c| c[self.start + row])
+    }
+
+    /// Keep only the rows `keep(source, ts)` accepts. A chunk that loses
+    /// rows is rebuilt with owned columns; otherwise it stays zero-copy.
+    fn retain(&mut self, mut keep: impl FnMut(SourceId, i64) -> bool) {
+        let rows: Vec<usize> =
+            (0..self.len()).filter(|&r| keep(self.source_at(r), self.ts[r])).collect();
+        if rows.len() == self.len() {
+            return;
+        }
+        self.ids = self.ids.as_ref().map(|ids| rows.iter().map(|&r| ids[r]).collect());
+        self.cols = self
+            .cols
+            .iter()
+            .map(|c| Arc::new(rows.iter().map(|&r| c[self.start + r]).collect()))
+            .collect();
+        self.ts = rows.iter().map(|&r| self.ts[r]).collect();
+        self.start = 0;
+    }
+
     /// Non-NULL values in the chunk (what `points_scanned` counts).
     fn points(&self) -> u64 {
         self.cols
@@ -268,6 +301,127 @@ impl ColumnarChunk {
                     as u64
             })
             .sum()
+    }
+}
+
+/// What one read covers.
+#[derive(Clone, Copy)]
+enum Scope<'a> {
+    /// One registered source (`NotFound` otherwise): historical reads.
+    Source(SourceId),
+    /// Every registered source, or the registered members of a set.
+    Sources(Option<&'a HashSet<SourceId>>),
+}
+
+/// One unsealed row `(source, ts, projected values)`.
+type BufferedRow = (SourceId, i64, Vec<Option<f64>>);
+
+/// The fixed inputs of one read pass.
+struct Pass<'a> {
+    /// Inclusive time range; `t1` is already clamped to the retention floor.
+    t1: i64,
+    t2: i64,
+    tags: &'a [usize],
+    tag_ranges: &'a [(usize, f64, f64)],
+    /// Source restriction; `None` reads every source.
+    filter: Option<&'a HashSet<SourceId>>,
+    /// Active tombstones, snapshotted once per pass.
+    tombs: Arc<Vec<Tombstone>>,
+}
+
+impl Pass<'_> {
+    fn wants(&self, source: SourceId) -> bool {
+        self.filter.is_none_or(|f| f.contains(&source))
+    }
+
+    /// Is this row deleted? Masked rows are counted into the tally.
+    fn masks(&self, source: SourceId, ts: i64, tally: &mut ReadTally) -> bool {
+        let masked = masks_row(&self.tombs, source, ts);
+        tally.tombstone_masked_rows += masked as u64;
+        masked
+    }
+
+    /// The in-memory rows the scope wants and no tombstone deletes.
+    fn select<'t>(
+        &'t self,
+        rows: impl Iterator<Item = BufferedRow> + 't,
+        tally: &'t mut ReadTally,
+    ) -> impl Iterator<Item = BufferedRow> + 't {
+        rows.filter(move |(id, t, _)| self.wants(*id) && !self.masks(*id, *t, tally))
+    }
+}
+
+/// Where a read pass delivers what it enumerates: the three consumers.
+enum Sink {
+    /// Row scans: one [`ScanPoint`] per row.
+    Rows(Vec<ScanPoint>),
+    /// Columnar scans: one chunk per sealed batch or in-memory run.
+    Chunks(Vec<ColumnarChunk>),
+    /// Aggregates: folds keyed by bucket start (`interval` `None`: one
+    /// bucket, key 0).
+    Fold { interval: Option<i64>, buckets: BTreeMap<i64, RangeAggregate> },
+}
+
+impl Sink {
+    /// Take the selected rows of one sealed batch.
+    fn chunk(&mut self, ch: ColumnarChunk) {
+        match self {
+            Sink::Rows(out) => out.extend((0..ch.len()).map(|row| ScanPoint {
+                source: ch.source_at(row),
+                ts: Timestamp(ch.ts[row]),
+                values: ch.values_at(row).collect(),
+            })),
+            Sink::Chunks(out) => out.push(ch),
+            Sink::Fold { interval, buckets } => {
+                for row in 0..ch.len() {
+                    bucket_slot(buckets, *interval, ch.cols.len(), ch.ts[row])
+                        .add_row(ch.values_at(row));
+                }
+            }
+        }
+    }
+
+    /// Take one in-memory run: an open, side or MG buffer, or a queued
+    /// seal. `source` is set for a per-source buffer.
+    fn run(
+        &mut self,
+        source: Option<SourceId>,
+        rows: impl Iterator<Item = BufferedRow>,
+        tags_n: usize,
+    ) {
+        match self {
+            Sink::Rows(out) => out.extend(rows.map(|(source, t, values)| ScanPoint {
+                source,
+                ts: Timestamp(t),
+                values,
+            })),
+            Sink::Chunks(out) => out.extend(owned_chunk(tags_n, source, rows)),
+            Sink::Fold { interval, buckets } => {
+                for (_, t, values) in rows {
+                    bucket_slot(buckets, *interval, tags_n, t).add_row(values);
+                }
+            }
+        }
+    }
+
+    /// The fold's summary-or-decode rule: answer a whole batch from its
+    /// seal-time summaries when the range covers it and it falls inside
+    /// one bucket. Returns whether it did (never, for scans).
+    fn fold_summary(&mut self, batch: &Batch, pass: &Pass, tally: &mut ReadTally) -> bool {
+        let Sink::Fold { interval, buckets } = self else { return false };
+        let Some(sums) = batch.summaries() else { return false };
+        let (begin, end) = batch.time_range();
+        let one_bucket = interval.is_none_or(|i| begin.div_euclid(i) == end.div_euclid(i));
+        if begin < pass.t1 || end > pass.t2 || !one_bucket {
+            return false;
+        }
+        let slot = bucket_slot(buckets, *interval, pass.tags.len(), begin);
+        slot.rows += batch.n_points() as u64;
+        for (s, &tag) in slot.tags.iter_mut().zip(pass.tags) {
+            s.merge(&sums[tag]);
+        }
+        tally.summary_answered_batches += 1;
+        true
     }
 }
 
@@ -712,9 +866,9 @@ impl OdhTable {
     /// (`cols[tag][row]`) — the batch counterpart of [`OdhTable::put`],
     /// with source lookup, metering, shard locking, and WAL stripe
     /// locking amortized over the run instead of paid per row. Ingested
-    /// rows, WAL bytes, and statistics are identical to calling `put`
-    /// row by row, for every ingest structure (RTS/IRTS source buffers
-    /// and MG group buffers alike).
+    /// rows, WAL bytes, statistics, and late-row routing are identical to
+    /// calling `put` row by row, for every ingest structure (RTS/IRTS
+    /// source buffers and MG group buffers alike).
     pub fn put_cols(&self, source: SourceId, ts: &[i64], cols: &[Vec<Option<f64>>]) -> Result<()> {
         let n = ts.len();
         if n == 0 {
@@ -724,23 +878,10 @@ impl OdhTable {
         if cols.iter().any(|c| c.len() != n) {
             return Err(OdhError::Config("put_cols: ragged column lengths".into()));
         }
-        let (meta, wm) = self
+        let (meta, mut wm) = self
             .registry
             .meta_and_watermark(source.0)
             .ok_or_else(|| OdhError::NotFound(format!("{source} not registered")))?;
-        // Disorder slow path: a run containing rows behind the source's
-        // seal watermark is split row-by-row through `put_at`, which
-        // routes each late row to the side buffer. The net server ingests
-        // via `put_cols`, so late wire frames take the same routing as
-        // in-process puts.
-        if meta.ingest != Structure::Mg && wm.is_some_and(|wm| ts.iter().any(|&t| t < wm)) {
-            for row in 0..n {
-                let values: Vec<Option<f64>> = cols.iter().map(|c| c[row]).collect();
-                self.put_at(&Record::new(source, Timestamp(ts[row]), values), None)?;
-            }
-            return Ok(());
-        }
-        self.meter.cpu(self.meter.costs.point_encode * (n * cols.len()) as f64);
         let mut off = 0usize;
         while off < n {
             match meta.ingest {
@@ -751,6 +892,24 @@ impl OdhTable {
                     });
                     let room = self.cfg.batch_size.saturating_sub(buf.len()).max(1);
                     let take = room.min(n - off);
+                    // Disorder slow path: once a chunk holds rows behind the
+                    // watermark, the rest of the run goes row by row through
+                    // `put_at`, which routes each late row to the side buffer
+                    // exactly as `put` would. The watermark rises only when
+                    // this source's buffer is taken, and a take inside this
+                    // run raises `wm` below, so every chunk is checked against
+                    // the watermark `put` would see. The net server ingests
+                    // via `put_cols`, so late wire frames take the same
+                    // routing as in-process puts.
+                    if wm.is_some_and(|wm| ts[off..off + take].iter().any(|&t| t < wm)) {
+                        drop(g);
+                        self.note_put_cols(ts, cols, 0..off);
+                        for row in off..n {
+                            let values: Vec<Option<f64>> = cols.iter().map(|c| c[row]).collect();
+                            self.put_at(&Record::new(source, Timestamp(ts[row]), values), None)?;
+                        }
+                        return Ok(());
+                    }
                     // WAL append inside the shard lock, as in `put_at`:
                     // per-source LSN order equals buffer order.
                     let (first_lsn, last_lsn) = match self.wal_binding() {
@@ -763,6 +922,7 @@ impl OdhTable {
                     if buf.len() >= self.cfg.batch_size {
                         let _seal = self.seals.begin();
                         let (bts, bcols, bfirst, blast) = buf.take();
+                        wm = wm.max(self.raise_watermark(source, &bts));
                         drop(g);
                         self.dispatch_source_seal(source, meta, bts, bcols, bfirst, blast)?;
                     }
@@ -792,12 +952,24 @@ impl OdhTable {
                 }
             }
         }
-        let points: u64 =
-            cols.iter().map(|c| c.iter().filter(|v| v.is_some()).count() as u64).sum();
-        let (min_ts, max_ts) =
-            ts.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &t| (lo.min(t), hi.max(t)));
-        self.stats.note_put_run(min_ts, max_ts, n as u64, points);
+        self.note_put_cols(ts, cols, 0..n);
         Ok(())
+    }
+
+    /// Meter and count the rows `range` of a `put_cols` run in one go.
+    fn note_put_cols(&self, ts: &[i64], cols: &[Vec<Option<f64>>], range: std::ops::Range<usize>) {
+        if range.is_empty() {
+            return;
+        }
+        self.meter.cpu(self.meter.costs.point_encode * (range.len() * cols.len()) as f64);
+        let points: u64 = cols
+            .iter()
+            .map(|c| c[range.clone()].iter().filter(|v| v.is_some()).count() as u64)
+            .sum();
+        let (min_ts, max_ts) = ts[range.clone()]
+            .iter()
+            .fold((i64::MAX, i64::MIN), |(lo, hi), &t| (lo.min(t), hi.max(t)));
+        self.stats.note_put_run(min_ts, max_ts, range.len() as u64, points);
     }
 
     /// Replay one recovered WAL frame: re-buffers the point under its
@@ -822,12 +994,15 @@ impl OdhTable {
                 // it originally came from. MG ingest (below) needs no
                 // routing: batch keys, `max_span` index probes, and the
                 // seal-time sort already tolerate cross-source disorder.
+                // The check runs under the shard lock, where seals raise
+                // the watermark, so routing depends on arrival order alone.
+                let mut g = self.buffers.lock_source(record.source.0);
                 if replay.is_none() && self.is_late(record.source, record.ts.micros()) {
+                    drop(g);
                     self.put_side(meta, record, None)?;
                     self.stats.note_put(record.ts.micros(), record.data_points() as u64);
                     return Ok(true);
                 }
-                let mut g = self.buffers.lock_source(record.source.0);
                 // WAL append happens *inside* the shard lock: per-source
                 // LSN order then equals buffer order, which is what lets
                 // recovery reproduce arrival order exactly.
@@ -853,6 +1028,7 @@ impl OdhTable {
                     // every instant.
                     let _seal = self.seals.begin();
                     let (ts, cols, first_lsn, last_lsn) = buf.take();
+                    self.raise_watermark(record.source, &ts);
                     // Seal outside the shard lock: blob encoding is the
                     // expensive part, and other sources on this shard can
                     // keep ingesting meanwhile.
@@ -959,9 +1135,19 @@ impl OdhTable {
         Ok(())
     }
 
-    /// Advance `source`'s seal watermark to at least `ts`.
-    fn note_watermark(&self, source: SourceId, ts: i64) {
-        self.registry.note_watermark(source.0, ts);
+    /// Raise `source`'s seal watermark to the newest row of a full buffer
+    /// being taken for sealing (`max` — it never goes down): rows arriving
+    /// below it from now on are late and detour to the side buffer.
+    /// Called under the source's shard lock at the take itself, not when
+    /// a seal worker gets to the batch, so whether a row is late depends
+    /// on arrival order and `batch_size` alone. Returns the newest taken
+    /// timestamp.
+    fn raise_watermark(&self, source: SourceId, ts: &[i64]) -> Option<i64> {
+        let newest = ts.iter().max().copied();
+        if let Some(t) = newest {
+            self.registry.note_watermark(source.0, t);
+        }
+        newest
     }
 
     /// Is a row at `ts` late for `source` — would it sort behind rows
@@ -1069,14 +1255,17 @@ impl OdhTable {
             // out. Scoped so the ticket is released before the pipeline
             // barrier below — workers take their own install tickets.
             let _seal = self.seals.begin();
-            for (id, (ts, cols, _first, last_lsn)) in self.buffers.drain_sources() {
+            let drained = self.buffers.drain_sources(|id, ts| {
+                self.raise_watermark(SourceId(id), ts);
+            });
+            for (id, (ts, cols, _first, last_lsn)) in drained {
                 let meta = self.drained_meta(id);
                 self.seal_source_batch(SourceId(id), meta, ts, cols, last_lsn)?;
             }
             for (gid, (ts, ids, cols, _first, last_lsn)) in self.buffers.drain_mg() {
                 self.seal_mg_batch(GroupId(gid), ts, ids, cols, last_lsn)?;
             }
-            for (id, (ts, cols, _first, last_lsn)) in self.side_buffers.drain_sources() {
+            for (id, (ts, cols, _first, last_lsn)) in self.side_buffers.drain_sources(|_, _| {}) {
                 let meta = self.drained_meta(id);
                 self.seal_side_batch(SourceId(id), meta, ts, cols, last_lsn)?;
             }
@@ -1333,10 +1522,6 @@ impl OdhTable {
             return Ok(Vec::new());
         }
         sort_rows(&mut ts, None, &mut cols);
-        // Every per-source seal advances the disorder watermark (`max` —
-        // side batches of old rows can't lower it): rows arriving below
-        // it from now on are late and detour to the side buffer.
-        self.note_watermark(source, *ts.last().unwrap());
         let mut out = Vec::new();
         match (meta.ingest, meta.class.interval()) {
             (Structure::Rts, Some(interval)) => {
@@ -1511,131 +1696,7 @@ impl OdhTable {
         tags: &[usize],
         tag_ranges: &[(usize, f64, f64)],
     ) -> Result<Vec<ScanPoint>> {
-        let out = self.read_consistent(|t, tally| {
-            t.historical_scan_once(source, t1, t2, tags, tag_ranges, tally)
-        })?;
-        self.note_scan(&out);
-        Ok(out)
-    }
-
-    /// One optimistic pass of [`OdhTable::historical_scan_filtered`]; only
-    /// valid if no seal overlapped it (see [`SealSync`]).
-    #[allow(clippy::too_many_arguments)]
-    fn historical_scan_once(
-        &self,
-        source: SourceId,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-        tag_ranges: &[(usize, f64, f64)],
-        tally: &mut ReadTally,
-    ) -> Result<Vec<ScanPoint>> {
-        let meta = self.registry.require(source)?;
-        let (t1, t2) = (self.clamp_retention(t1.micros()), t2.micros());
-        let mut out = Vec::new();
-
-        // Per-source generations. The compactor may re-type a merged
-        // window (an RTS run whose merge spans a gap re-seals as IRTS),
-        // so both hot generations are consulted regardless of source
-        // class, plus the cold generation for demoted history; descents
-        // into a generation holding nothing for this source cost a
-        // header-cheap index probe.
-        for (container, cold) in &self.read_gens() {
-            if container.record_count() == 0 {
-                continue;
-            }
-            self.scan_source_container(
-                container, *cold, source, t1, t2, tags, tag_ranges, tally, &mut out,
-            )?;
-        }
-        // Low-frequency sources may also have not-yet-reorganized MG data.
-        if meta.ingest == Structure::Mg {
-            let mg = self.mg.read().clone();
-            let filter: HashSet<SourceId> = [source].into_iter().collect();
-            self.scan_mg_container(
-                &mg,
-                meta.group,
-                t1,
-                t2,
-                tags,
-                Some(&filter),
-                tag_ranges,
-                tally,
-                &mut out,
-            )?;
-            let g = self.buffers.lock_mg(meta.group.0);
-            if let Some(buf) = g.get(&meta.group.0) {
-                for (id, ts, values) in buf.rows_in_range(t1, t2, tags, Some(source)) {
-                    out.push(ScanPoint { source: id, ts: Timestamp(ts), values });
-                }
-            }
-        } else {
-            {
-                let g = self.buffers.lock_source(source.0);
-                if let Some(buf) = g.get(&source.0) {
-                    for (ts, values) in buf.rows_in_range(t1, t2, tags) {
-                        out.push(ScanPoint { source, ts: Timestamp(ts), values });
-                    }
-                }
-            }
-            // Late rows waiting in the side buffer are as visible as any
-            // open-buffer row (dirty-read isolation).
-            let g = self.side_buffers.lock_source(source.0);
-            if let Some(buf) = g.get(&source.0) {
-                for (ts, values) in buf.rows_in_range(t1, t2, tags) {
-                    out.push(ScanPoint { source, ts: Timestamp(ts), values });
-                }
-            }
-        }
-        // Rows handed to the seal pipeline but not yet installed are merged
-        // like open buffers — dirty-read isolation covers the queue too.
-        for job in self.pending_seals() {
-            for (id, ts, values) in job.rows_in_range(t1, t2, tags, Some(source)) {
-                out.push(ScanPoint { source: id, ts: Timestamp(ts), values });
-            }
-        }
-        self.mask_points(tally, &mut out);
-        out.sort_unstable_by_key(|p| p.ts);
-        Ok(out)
-    }
-
-    /// Run one optimistic read pass under the seal seqlock, retrying until
-    /// no buffer→container transition overlapped it. Retries are rare
-    /// (a seal must land mid-read) and each pass starts from scratch, so
-    /// merged container+buffer reads observe every point exactly once.
-    ///
-    /// Read-path attribution (cache probes, decodes, summary answers) is
-    /// tallied per pass and committed to [`StorageStats`] only for the
-    /// pass whose result is returned, so discarded retries never inflate
-    /// the counters — they stay exact under concurrent sealing.
-    fn read_consistent<T>(
-        &self,
-        mut read: impl FnMut(&Self, &mut ReadTally) -> Result<T>,
-    ) -> Result<T> {
-        loop {
-            let Some(epoch) = self.seals.stable() else {
-                std::thread::yield_now();
-                continue;
-            };
-            let mut tally = ReadTally::default();
-            let out = read(self, &mut tally);
-            if out.is_err() || self.seals.still(epoch) {
-                tally.commit(&self.stats);
-                // Install this pass's decode-cache admissions in the
-                // order the scan produced them (eviction order matters
-                // when a big scan overflows the budget), then the
-                // columns it decoded inside already-shared entries.
-                let mut admitted: Vec<_> = tally.admissions.into_iter().collect();
-                admitted.sort_unstable_by_key(|(_, (order, _))| *order);
-                for (key, (_, entry)) in admitted {
-                    self.cache.insert(key, entry);
-                }
-                for ((_, tag), (entry, col)) in tally.fills {
-                    entry.install_col(tag, col);
-                }
-                return out;
-            }
-        }
+        self.scan_rows(Scope::Source(source), t1, t2, tags, tag_ranges)
     }
 
     /// Slice query: points of many sources within a short window
@@ -1660,101 +1721,27 @@ impl OdhTable {
         sources: Option<&HashSet<SourceId>>,
         tag_ranges: &[(usize, f64, f64)],
     ) -> Result<Vec<ScanPoint>> {
-        let out = self.read_consistent(|t, tally| {
-            t.slice_scan_once(t1, t2, tags, sources, tag_ranges, tally)
-        })?;
-        self.note_scan(&out);
-        Ok(out)
+        self.scan_rows(Scope::Sources(sources), t1, t2, tags, tag_ranges)
     }
 
-    /// One optimistic pass of [`OdhTable::slice_scan_filtered`]; only valid
-    /// if no seal overlapped it (see [`SealSync`]).
-    fn slice_scan_once(
+    /// The row consumer: every row of `scope`, sorted by `(ts, source)`.
+    fn scan_rows(
         &self,
+        scope: Scope<'_>,
         t1: Timestamp,
         t2: Timestamp,
         tags: &[usize],
-        sources: Option<&HashSet<SourceId>>,
         tag_ranges: &[(usize, f64, f64)],
-        tally: &mut ReadTally,
     ) -> Result<Vec<ScanPoint>> {
-        let (t1, t2) = (self.clamp_retention(t1.micros()), t2.micros());
-        let mut out = Vec::new();
-        // Partition registered sources by slice structure (reorganized
-        // MG history lives in per-source batches).
-        let reorganized = self.reorganized.load(std::sync::atomic::Ordering::Acquire);
-        let (per_source, mg_groups) = self.registry.partition(sources, reorganized);
-        // Per-source index descents pay off when a few sources carry long
-        // histories (many batch records each — the steady state at paper
-        // scale). When the source population outnumbers the batch records
-        // (early life, scaled runs), one sequential container scan with
-        // time pruning is strictly cheaper than N descents.
-        for (container, cold) in &self.read_gens() {
-            if per_source.is_empty() || container.record_count() == 0 {
-                continue;
-            }
-            if (per_source.len() as u64) > container.record_count() {
-                self.meter.cpu(self.meter.costs.buffer_hit * container.record_count() as f64);
-                for rid in container.all_rids()? {
-                    let entry = self.fetch_cached(container, rid, *cold, tally)?;
-                    self.emit_cached(&entry, t1, t2, tags, sources, tag_ranges, tally, &mut out)?;
-                }
-            } else {
-                for sid in &per_source {
-                    self.scan_source_container(
-                        container, *cold, *sid, t1, t2, tags, tag_ranges, tally, &mut out,
-                    )?;
-                }
-            }
-        }
-        for sid in &per_source {
-            {
-                let g = self.buffers.lock_source(sid.0);
-                if let Some(buf) = g.get(&sid.0) {
-                    for (ts, values) in buf.rows_in_range(t1, t2, tags) {
-                        out.push(ScanPoint { source: *sid, ts: Timestamp(ts), values });
-                    }
-                }
-            }
-            let g = self.side_buffers.lock_source(sid.0);
-            if let Some(buf) = g.get(&sid.0) {
-                for (ts, values) in buf.rows_in_range(t1, t2, tags) {
-                    out.push(ScanPoint { source: *sid, ts: Timestamp(ts), values });
-                }
-            }
-        }
-        let mg = self.mg.read().clone();
-        for gid in mg_groups {
-            self.scan_mg_container(
-                &mg,
-                GroupId(gid),
-                t1,
-                t2,
-                tags,
-                sources,
-                tag_ranges,
-                tally,
-                &mut out,
-            )?;
-            let g = self.buffers.lock_mg(gid);
-            if let Some(buf) = g.get(&gid) {
-                for (id, ts, values) in buf.rows_in_range(t1, t2, tags, None) {
-                    if sources.is_none_or(|f| f.contains(&id)) {
-                        out.push(ScanPoint { source: id, ts: Timestamp(ts), values });
-                    }
-                }
-            }
-        }
-        // Queued-but-unsealed rows (see historical_scan_once).
-        for job in self.pending_seals() {
-            for (id, ts, values) in job.rows_in_range(t1, t2, tags, None) {
-                if sources.is_none_or(|f| f.contains(&id)) {
-                    out.push(ScanPoint { source: id, ts: Timestamp(ts), values });
-                }
-            }
-        }
-        self.mask_points(tally, &mut out);
+        let Sink::Rows(mut out) =
+            self.read_consistent(scope, t1, t2, tags, tag_ranges, || Sink::Rows(vec![]))?
+        else {
+            unreachable!("a row read yields rows")
+        };
         out.sort_unstable_by_key(|p| (p.ts, p.source));
+        let points: u64 =
+            out.iter().map(|p| p.values.iter().filter(|v| v.is_some()).count() as u64).sum();
+        self.stats.points_scanned.add(points);
         Ok(out)
     }
 
@@ -1777,291 +1764,298 @@ impl OdhTable {
         sources: Option<&HashSet<SourceId>>,
         tag_ranges: &[(usize, f64, f64)],
     ) -> Result<Vec<ColumnarChunk>> {
-        let out = self.read_consistent(|t, tally| {
-            t.scan_columnar_once(t1, t2, tags, sources, tag_ranges, tally)
-        })?;
+        let scope = Scope::Sources(sources);
+        let Sink::Chunks(out) =
+            self.read_consistent(scope, t1, t2, tags, tag_ranges, || Sink::Chunks(vec![]))?
+        else {
+            unreachable!("a columnar read yields chunks")
+        };
         let points: u64 = out.iter().map(ColumnarChunk::points).sum();
         self.stats.points_scanned.add(points);
         Ok(out)
     }
 
-    /// One optimistic pass of [`OdhTable::scan_columnar`]; only valid if
-    /// no seal overlapped it (see [`SealSync`]).
-    fn scan_columnar_once(
+    /// Aggregate `tags` over `[t1, t2]` (optionally one `source`) without
+    /// materializing rows: the one-bucket case of
+    /// [`OdhTable::bucket_aggregate`]. Batches fully covered by the range
+    /// — and not subject to a source filter or tombstone their summaries
+    /// cannot express — are answered straight from their seal-time
+    /// [`TagSummary`] block; everything else (boundary batches, filtered
+    /// MG groups, pre-v2 records) pays decode through the cache. Open
+    /// ingest buffers are folded in row-by-row (the same dirty-read
+    /// isolation scans give).
+    ///
+    /// Equivalent to folding the rows of the matching scan, except that
+    /// floating-point sums may associate differently (per-batch partials
+    /// instead of row order).
+    pub fn aggregate_range(
         &self,
+        source: Option<SourceId>,
         t1: Timestamp,
         t2: Timestamp,
         tags: &[usize],
-        sources: Option<&HashSet<SourceId>>,
+    ) -> Result<RangeAggregate> {
+        let mut buckets = self.fold(source, t1, t2, None, tags)?;
+        Ok(buckets.remove(&0).unwrap_or_else(|| RangeAggregate::empty(tags.len())))
+    }
+
+    /// Bucketed aggregate: [`OdhTable::aggregate_range`] split into
+    /// `interval_us`-wide time buckets keyed by
+    /// `ts.div_euclid(interval_us) * interval_us`. Sealed batches whose
+    /// rows land entirely inside one bucket — and that a source filter
+    /// cannot misattribute — are answered straight from their seal-time
+    /// summaries; batches straddling a bucket edge decode through the
+    /// cache and fold row-by-row. Open ingest buffers and queued seals
+    /// fold in per row (dirty-read isolation, as everywhere else).
+    pub fn bucket_aggregate(
+        &self,
+        source: Option<SourceId>,
+        t1: Timestamp,
+        t2: Timestamp,
+        interval_us: i64,
+        tags: &[usize],
+    ) -> Result<BTreeMap<i64, RangeAggregate>> {
+        if interval_us <= 0 {
+            return Err(OdhError::Config(format!(
+                "bucket interval must be positive, got {interval_us}"
+            )));
+        }
+        self.fold(source, t1, t2, Some(interval_us), tags)
+    }
+
+    /// The fold consumer behind both aggregates.
+    fn fold(
+        &self,
+        source: Option<SourceId>,
+        t1: Timestamp,
+        t2: Timestamp,
+        interval: Option<i64>,
+        tags: &[usize],
+    ) -> Result<BTreeMap<i64, RangeAggregate>> {
+        let scope = match source {
+            Some(s) => Scope::Source(s),
+            None => Scope::Sources(None),
+        };
+        let sink = || Sink::Fold { interval, buckets: BTreeMap::new() };
+        let Sink::Fold { buckets, .. } = self.read_consistent(scope, t1, t2, tags, &[], sink)?
+        else {
+            unreachable!("an aggregate read yields buckets")
+        };
+        Ok(buckets)
+    }
+
+    /// Read everything `scope` covers in `[t1, t2]` into a fresh sink:
+    /// one optimistic [`OdhTable::read_pass`] under the seal seqlock,
+    /// retried until no buffer→container transition overlapped it.
+    /// Retries are rare (a seal must land mid-read) and each pass starts
+    /// from scratch, so merged container+buffer reads observe every point
+    /// exactly once.
+    ///
+    /// Read-path attribution (cache probes, decodes, summary answers) is
+    /// tallied per pass and committed to [`StorageStats`] only for the
+    /// pass whose result is returned, so discarded retries never inflate
+    /// the counters — they stay exact under concurrent sealing.
+    fn read_consistent(
+        &self,
+        scope: Scope<'_>,
+        t1: Timestamp,
+        t2: Timestamp,
+        tags: &[usize],
+        tag_ranges: &[(usize, f64, f64)],
+        sink: impl Fn() -> Sink,
+    ) -> Result<Sink> {
+        loop {
+            let Some(epoch) = self.seals.stable() else {
+                std::thread::yield_now();
+                continue;
+            };
+            let mut tally = ReadTally::default();
+            let mut out = sink();
+            let res = self.read_pass(scope, t1, t2, tags, tag_ranges, &mut tally, &mut out);
+            if res.is_err() || self.seals.still(epoch) {
+                tally.commit(&self.stats);
+                // Install this pass's decode-cache admissions in the
+                // order the scan produced them (eviction order matters
+                // when a big scan overflows the budget), then the
+                // columns it decoded inside already-shared entries.
+                let mut admitted: Vec<_> = tally.admissions.into_iter().collect();
+                admitted.sort_unstable_by_key(|(_, (order, _))| *order);
+                for (key, (_, entry)) in admitted {
+                    self.cache.insert(key, entry);
+                }
+                for ((_, tag), (entry, col)) in tally.fills {
+                    entry.install_col(tag, col);
+                }
+                return res.map(|()| out);
+            }
+        }
+    }
+
+    /// One optimistic pass over every place a row of `scope` can live,
+    /// each visited once, in this order:
+    ///
+    /// 1. the per-source generations (hot RTS, hot IRTS, cold) — all of
+    ///    them whatever a source's class, since the compactor re-types
+    ///    merged windows and reorganization moves MG history there;
+    /// 2. the open and side buffers of the per-source structures;
+    /// 3. per MG group, its sealed batches then its open group buffer;
+    /// 4. rows handed to the seal pipeline but not yet installed.
+    ///
+    /// Sealed batches go through [`OdhTable::read_batch`]; in-memory rows
+    /// (dirty-read isolation) are clipped, filtered and tombstone-masked
+    /// here. Only valid if no seal overlapped the pass (see [`SealSync`]
+    /// and [`OdhTable::read_consistent`]).
+    #[allow(clippy::too_many_arguments)]
+    fn read_pass(
+        &self,
+        scope: Scope<'_>,
+        t1: Timestamp,
+        t2: Timestamp,
+        tags: &[usize],
         tag_ranges: &[(usize, f64, f64)],
         tally: &mut ReadTally,
-    ) -> Result<Vec<ColumnarChunk>> {
-        let (t1, t2) = (self.clamp_retention(t1.micros()), t2.micros());
-        let mut out = Vec::new();
-        let reorganized = self.reorganized.load(std::sync::atomic::Ordering::Acquire);
-        let (per_source, mg_groups) = self.registry.partition(sources, reorganized);
-        // Same sequential-vs-descent choice as `slice_scan_once`.
+        sink: &mut Sink,
+    ) -> Result<()> {
+        // Partition elimination: which per-source histories and MG groups
+        // the scope touches. One source always descends the per-source
+        // generations, reorganized or not.
+        let only: HashSet<SourceId>;
+        let (filter, reorganized) = match scope {
+            Scope::Source(s) => {
+                self.registry.require(s)?;
+                only = [s].into_iter().collect();
+                (Some(&only), true)
+            }
+            Scope::Sources(f) => (f, self.reorganized.load(std::sync::atomic::Ordering::Acquire)),
+        };
+        let (per_source, groups) = self.registry.partition(filter, reorganized);
+        let pass = Pass {
+            t1: self.clamp_retention(t1.micros()),
+            t2: t2.micros(),
+            tags,
+            tag_ranges,
+            filter,
+            tombs: self.tombstones(),
+        };
         for (container, cold) in &self.read_gens() {
-            if per_source.is_empty() || container.record_count() == 0 {
+            let records = container.record_count();
+            if per_source.is_empty() || records == 0 {
                 continue;
             }
-            if (per_source.len() as u64) > container.record_count() {
-                self.meter.cpu(self.meter.costs.buffer_hit * container.record_count() as f64);
-                for rid in container.all_rids()? {
-                    let entry = self.fetch_cached(container, rid, *cold, tally)?;
-                    self.emit_columnar(&entry, t1, t2, tags, sources, tag_ranges, tally, &mut out)?;
-                }
+            // Per-source index descents pay off when a few sources carry
+            // long histories (many batch records each — the steady state
+            // at paper scale). When the sources outnumber the records
+            // (early life, scaled runs), one sequential walk with time
+            // pruning is strictly cheaper than N descents.
+            let rids = if per_source.len() as u64 > records {
+                self.meter.cpu(self.meter.costs.buffer_hit * records as f64);
+                container.all_rids()?
             } else {
+                let mut rids = Vec::new();
                 for sid in &per_source {
-                    let lo = KeyBuf::new()
-                        .push_u64(sid.0)
-                        .push_i64(t1.saturating_sub(container.max_span()))
-                        .build();
-                    let hi = KeyBuf::new().push_u64(sid.0).push_i64(t2).build();
-                    self.meter
-                        .cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
-                    for rid in container.rids_in_range(&lo, &hi)? {
-                        let entry = self.fetch_cached(container, rid, *cold, tally)?;
-                        self.emit_columnar(
-                            &entry, t1, t2, tags, None, tag_ranges, tally, &mut out,
-                        )?;
-                    }
+                    rids.extend(self.descend(container, KeyBuf::new().push_u64(sid.0), &pass)?);
                 }
+                rids
+            };
+            for rid in rids {
+                self.read_batch(&pass, container, rid, *cold, tally, sink)?;
             }
         }
         for sid in &per_source {
-            {
-                let g = self.buffers.lock_source(sid.0);
+            for buffers in [&self.buffers, &self.side_buffers] {
+                let g = buffers.lock_source(sid.0);
                 if let Some(buf) = g.get(&sid.0) {
-                    let rows = buf.rows_in_range(t1, t2, tags).map(|(t, v)| (None, t, v));
-                    out.extend(owned_chunk(tags.len(), Some(*sid), rows));
+                    let rows = buf.rows_in_range(pass.t1, pass.t2, tags).map(|(t, v)| (*sid, t, v));
+                    sink.run(Some(*sid), pass.select(rows, tally), tags.len());
                 }
-            }
-            let g = self.side_buffers.lock_source(sid.0);
-            if let Some(buf) = g.get(&sid.0) {
-                let rows = buf.rows_in_range(t1, t2, tags).map(|(t, v)| (None, t, v));
-                out.extend(owned_chunk(tags.len(), Some(*sid), rows));
             }
         }
         let mg = self.mg.read().clone();
-        for gid in mg_groups {
-            let lo = KeyBuf::new().push_u32(gid).push_i64(t1.saturating_sub(mg.max_span())).build();
-            let hi = KeyBuf::new().push_u32(gid).push_i64(t2).build();
-            self.meter.cpu(self.meter.costs.btree_node_visit * mg.index_height() as f64);
-            for rid in mg.rids_in_range(&lo, &hi)? {
-                let entry = self.fetch_cached(&mg, rid, false, tally)?;
-                self.emit_columnar(&entry, t1, t2, tags, sources, tag_ranges, tally, &mut out)?;
+        for gid in groups {
+            for rid in self.descend(&mg, KeyBuf::new().push_u32(gid), &pass)? {
+                self.read_batch(&pass, &mg, rid, false, tally, sink)?;
             }
             let g = self.buffers.lock_mg(gid);
             if let Some(buf) = g.get(&gid) {
-                let rows = buf
-                    .rows_in_range(t1, t2, tags, None)
-                    .filter(|(id, _, _)| sources.is_none_or(|f| f.contains(id)))
-                    .map(|(id, t, v)| (Some(id), t, v));
-                out.extend(owned_chunk(tags.len(), None, rows));
+                let rows = buf.rows_in_range(pass.t1, pass.t2, tags, None);
+                sink.run(None, pass.select(rows, tally), tags.len());
             }
         }
         for job in self.pending_seals() {
-            let rows = job
-                .rows_in_range(t1, t2, tags, None)
-                .filter(|(id, _, _)| sources.is_none_or(|f| f.contains(id)))
-                .map(|(id, t, v)| (Some(id), t, v));
-            out.extend(owned_chunk(tags.len(), None, rows));
+            let rows = job.rows_in_range(pass.t1, pass.t2, tags, None);
+            sink.run(None, pass.select(rows, tally), tags.len());
         }
-        self.mask_chunks(tally, &mut out);
-        Ok(out)
+        Ok(())
     }
 
-    /// Drop tombstoned rows from a row-scan result, counting the masked
-    /// rows into the tally.
-    fn mask_points(&self, tally: &mut ReadTally, out: &mut Vec<ScanPoint>) {
-        let tombs = self.tombstones();
-        if tombs.is_empty() {
-            return;
-        }
-        let before = out.len();
-        out.retain(|p| !masks_row(&tombs, p.source, p.ts.micros()));
-        tally.tombstone_masked_rows += (before - out.len()) as u64;
+    /// Rids of the batches keyed under `prefix` (a source or an MG group)
+    /// that can overlap the pass's range: one index descent, starting
+    /// `max_span` early so a batch that began before `t1` is not missed.
+    fn descend(&self, container: &Container, prefix: KeyBuf, pass: &Pass) -> Result<Vec<u64>> {
+        let lo = prefix.clone().push_i64(pass.t1.saturating_sub(container.max_span())).build();
+        let hi = prefix.push_i64(pass.t2).build();
+        self.meter.cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
+        container.rids_in_range(&lo, &hi)
     }
 
-    /// Drop tombstoned rows from columnar chunks. A chunk with no masked
-    /// rows passes through untouched (zero-copy with the decode cache is
-    /// preserved); a partially-masked chunk is rebuilt as owned columns.
-    fn mask_chunks(&self, tally: &mut ReadTally, out: &mut Vec<ColumnarChunk>) {
-        let tombs = self.tombstones();
-        if tombs.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        while i < out.len() {
-            let ch = &out[i];
-            let masked: Vec<bool> = ch
-                .ts
-                .iter()
-                .enumerate()
-                .map(|(row, &t)| {
-                    let src = ch.source.unwrap_or_else(|| ch.ids.as_ref().unwrap()[row]);
-                    masks_row(&tombs, src, t)
-                })
-                .collect();
-            let n_masked = masked.iter().filter(|&&m| m).count();
-            if n_masked == 0 {
-                i += 1;
-                continue;
-            }
-            tally.tombstone_masked_rows += n_masked as u64;
-            if n_masked == ch.len() {
-                out.remove(i);
-                continue;
-            }
-            let keep: Vec<usize> = (0..ch.len()).filter(|&r| !masked[r]).collect();
-            let ts: Vec<i64> = keep.iter().map(|&r| ch.ts[r]).collect();
-            let ids = ch.ids.as_ref().map(|ids| keep.iter().map(|&r| ids[r]).collect());
-            let cols = ch
-                .cols
-                .iter()
-                .map(|c| Arc::new(keep.iter().map(|&r| c[ch.start + r]).collect::<Vec<_>>()))
-                .collect();
-            out[i] = ColumnarChunk { source: ch.source, ids, ts, cols, start: 0 };
-            i += 1;
-        }
-    }
-
-    /// Emit a cached batch's in-range span as one [`ColumnarChunk`].
-    #[allow(clippy::too_many_arguments)]
-    fn emit_columnar(
+    /// Fetch one sealed batch and put it through the one admission check
+    /// — time reject, zone pruning, source filter — then hand the sink
+    /// its summary (folds, when it answers the whole batch) or its
+    /// in-range rows as one chunk: zero-copy with the decode cache unless
+    /// the source filter or a tombstone drops some of them.
+    fn read_batch(
         &self,
-        entry: &Arc<CachedBatch>,
-        t1: i64,
-        t2: i64,
-        tags: &[usize],
-        filter: Option<&HashSet<SourceId>>,
-        tag_ranges: &[(usize, f64, f64)],
+        pass: &Pass,
+        container: &Container,
+        rid: u64,
+        cold: bool,
         tally: &mut ReadTally,
-        out: &mut Vec<ColumnarChunk>,
+        sink: &mut Sink,
     ) -> Result<()> {
+        let entry = self.fetch_cached(container, rid, cold, tally)?;
         let batch = &entry.batch;
-        let (b_begin, b_end) = batch.time_range();
-        if b_end < t1 || b_begin > t2 {
+        let (begin, end) = batch.time_range();
+        if end < pass.t1 || begin > pass.t2 {
             return Ok(());
         }
-        // Zone-map pruning, identical to `emit_cached`: a conjunctive tag
-        // range that cannot intersect this batch's header bounds (or hits
-        // an all-NULL column) rules the batch out without decoding.
-        for &(tag, lo, hi) in tag_ranges {
-            match batch.blob().tag_bounds(tag)? {
-                None => {
-                    tally.batches_zone_pruned += 1;
-                    return Ok(());
-                }
-                Some((bmin, bmax)) => {
-                    if bmax < lo || bmin > hi {
-                        tally.batches_zone_pruned += 1;
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        if let (Some(f), Some(source)) = (filter, batch.source()) {
-            if !f.contains(&source) {
+        // Zone-map pruning: a conjunctive tag range that cannot intersect
+        // this batch's bounds (or hits an all-NULL column, which no
+        // comparison matches) rules the whole batch out — header-only
+        // work. Applied on cache hits too, so the cached path emits
+        // exactly what the uncached path would.
+        for &(tag, lo, hi) in pass.tag_ranges {
+            if batch.blob().tag_bounds(tag)?.is_none_or(|(bmin, bmax)| bmax < lo || bmin > hi) {
+                tally.batches_zone_pruned += 1;
                 return Ok(());
             }
         }
-        let cols = self.project_cached(entry, tags, tally)?;
-        // Seal sorts rows by timestamp, so the in-range span is contiguous.
-        let lo = entry.ts.partition_point(|&t| t < t1);
-        let hi = entry.ts.partition_point(|&t| t <= t2);
-        if lo >= hi {
+        let source = batch.source();
+        if source.is_some_and(|s| !pass.wants(s)) {
             return Ok(());
         }
-        match batch {
-            Batch::Mg(b) => {
-                if let Some(f) = filter {
-                    // A filtered MG batch interleaves foreign sources;
-                    // keep matching rows only (decode is already paid).
-                    let rows = (lo..hi).filter(|&row| f.contains(&b.ids[row])).map(|row| {
-                        (
-                            Some(b.ids[row]),
-                            entry.ts[row],
-                            cols.iter().map(|c| c[row]).collect::<Vec<_>>(),
-                        )
-                    });
-                    out.extend(owned_chunk(tags.len(), None, rows));
-                } else {
-                    out.push(ColumnarChunk {
-                        source: None,
-                        ids: Some(b.ids[lo..hi].to_vec()),
-                        ts: entry.ts[lo..hi].to_vec(),
-                        cols,
-                        start: lo,
-                    });
-                }
-            }
-            Batch::Rts(b) => out.push(ColumnarChunk {
-                source: Some(b.source),
-                ids: None,
-                ts: entry.ts[lo..hi].to_vec(),
-                cols,
-                start: lo,
-            }),
-            Batch::Irts(b) => out.push(ColumnarChunk {
-                source: Some(b.source),
-                ids: None,
-                ts: entry.ts[lo..hi].to_vec(),
-                cols,
-                start: lo,
-            }),
+        // A filtered MG batch interleaves foreign sources, and a summary
+        // cannot subtract deleted rows (the pushdown-soundness rule):
+        // both need a per-row look.
+        let per_row = (source.is_none() && pass.filter.is_some())
+            || masks_batch(&pass.tombs, source, begin, end);
+        if !per_row && sink.fold_summary(batch, pass, tally) {
+            return Ok(());
         }
-        Ok(())
-    }
-
-    /// Scan one per-source container for `source` over `[t1, t2]`.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_source_container(
-        &self,
-        container: &Container,
-        cold: bool,
-        source: SourceId,
-        t1: i64,
-        t2: i64,
-        tags: &[usize],
-        tag_ranges: &[(usize, f64, f64)],
-        tally: &mut ReadTally,
-        out: &mut Vec<ScanPoint>,
-    ) -> Result<()> {
-        let lo = KeyBuf::new()
-            .push_u64(source.0)
-            .push_i64(t1.saturating_sub(container.max_span()))
-            .build();
-        let hi = KeyBuf::new().push_u64(source.0).push_i64(t2).build();
-        self.meter.cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
-        for rid in container.rids_in_range(&lo, &hi)? {
-            let entry = self.fetch_cached(container, rid, cold, tally)?;
-            self.emit_cached(&entry, t1, t2, tags, None, tag_ranges, tally, out)?;
+        let cols = self.project_cached(&entry, pass.tags, tally)?;
+        // Seal sorts rows by timestamp, so the in-range span is contiguous.
+        let lo = entry.ts.partition_point(|&t| t < pass.t1);
+        let hi = entry.ts.partition_point(|&t| t <= pass.t2);
+        let ids = match batch {
+            Batch::Mg(b) => Some(b.ids[lo..hi].to_vec()),
+            _ => None,
+        };
+        let mut chunk =
+            ColumnarChunk { source, ids, ts: entry.ts[lo..hi].to_vec(), cols, start: lo };
+        if per_row {
+            chunk.retain(|src, t| pass.wants(src) && !pass.masks(src, t, tally));
         }
-        Ok(())
-    }
-
-    /// Scan the MG container for one group over `[t1, t2]`.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_mg_container(
-        &self,
-        mg: &Container,
-        group: GroupId,
-        t1: i64,
-        t2: i64,
-        tags: &[usize],
-        filter: Option<&HashSet<SourceId>>,
-        tag_ranges: &[(usize, f64, f64)],
-        tally: &mut ReadTally,
-        out: &mut Vec<ScanPoint>,
-    ) -> Result<()> {
-        let lo = KeyBuf::new().push_u32(group.0).push_i64(t1.saturating_sub(mg.max_span())).build();
-        let hi = KeyBuf::new().push_u32(group.0).push_i64(t2).build();
-        self.meter.cpu(self.meter.costs.btree_node_visit * mg.index_height() as f64);
-        for rid in mg.rids_in_range(&lo, &hi)? {
-            let entry = self.fetch_cached(mg, rid, false, tally)?;
-            self.emit_cached(&entry, t1, t2, tags, filter, tag_ranges, tally, out)?;
+        if !chunk.is_empty() {
+            sink.chunk(chunk);
         }
         Ok(())
     }
@@ -2127,669 +2121,6 @@ impl OdhTable {
             self.meter.cpu(self.meter.costs.buffer_hit);
         }
         Ok(cols)
-    }
-
-    /// Emit the rows of a cached batch within `[t1, t2]` into `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_cached(
-        &self,
-        entry: &Arc<CachedBatch>,
-        t1: i64,
-        t2: i64,
-        tags: &[usize],
-        filter: Option<&HashSet<SourceId>>,
-        tag_ranges: &[(usize, f64, f64)],
-        tally: &mut ReadTally,
-        out: &mut Vec<ScanPoint>,
-    ) -> Result<()> {
-        let batch = &entry.batch;
-        let (b_begin, b_end) = batch.time_range();
-        if b_end < t1 || b_begin > t2 {
-            return Ok(());
-        }
-        // Zone-map pruning: a conjunctive tag range that cannot intersect
-        // this batch's bounds (or hits an all-NULL column, which no
-        // comparison matches) rules the whole batch out — header-only
-        // work. Applied on cache hits too, so the cached path emits
-        // exactly what the uncached path would.
-        for &(tag, lo, hi) in tag_ranges {
-            match batch.blob().tag_bounds(tag)? {
-                None => {
-                    tally.batches_zone_pruned += 1;
-                    return Ok(());
-                }
-                Some((bmin, bmax)) => {
-                    if bmax < lo || bmin > hi {
-                        tally.batches_zone_pruned += 1;
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        if let (Some(f), Some(source)) = (filter, batch.source()) {
-            if !f.contains(&source) {
-                return Ok(());
-            }
-        }
-        let cols = self.project_cached(entry, tags, tally)?;
-        match batch {
-            Batch::Mg(b) => {
-                for (row, &t) in entry.ts.iter().enumerate() {
-                    if t < t1 || t > t2 {
-                        continue;
-                    }
-                    let id = b.ids[row];
-                    if let Some(f) = filter {
-                        if !f.contains(&id) {
-                            continue;
-                        }
-                    }
-                    out.push(ScanPoint {
-                        source: id,
-                        ts: Timestamp(t),
-                        values: cols.iter().map(|c| c[row]).collect(),
-                    });
-                }
-            }
-            Batch::Rts(b) => emit_rows(&entry.ts, &cols, b.source, t1, t2, out),
-            Batch::Irts(b) => emit_rows(&entry.ts, &cols, b.source, t1, t2, out),
-        }
-        Ok(())
-    }
-
-    /// Aggregate `tags` over `[t1, t2]` (optionally one `source`) without
-    /// materializing rows. Batches fully covered by the range — and not
-    /// subject to a source filter their summaries cannot express — are
-    /// answered straight from their seal-time [`TagSummary`] block;
-    /// everything else (boundary batches, filtered MG groups, pre-v2
-    /// records) pays decode through the cache. Open ingest buffers are
-    /// folded in row-by-row (the same dirty-read isolation scans give).
-    ///
-    /// Equivalent to folding the rows of the matching scan, except that
-    /// floating-point sums may associate differently (per-batch partials
-    /// instead of row order).
-    pub fn aggregate_range(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-    ) -> Result<RangeAggregate> {
-        self.read_consistent(|t, tally| t.aggregate_range_once(source, t1, t2, tags, tally))
-    }
-
-    /// One optimistic pass of [`OdhTable::aggregate_range`]; only valid if
-    /// no seal overlapped it (see [`SealSync`]).
-    fn aggregate_range_once(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-        tally: &mut ReadTally,
-    ) -> Result<RangeAggregate> {
-        let (t1, t2) = (self.clamp_retention(t1.micros()), t2.micros());
-        let tombs = self.tombstones();
-        let mut agg = RangeAggregate { rows: 0, tags: vec![TagSummary::empty(); tags.len()] };
-        match source {
-            Some(sid) => {
-                let meta = self.registry.require(sid)?;
-                // All per-source generations (see `historical_scan_once`).
-                for (container, cold) in &self.read_gens() {
-                    if container.record_count() == 0 {
-                        continue;
-                    }
-                    let lo = KeyBuf::new()
-                        .push_u64(sid.0)
-                        .push_i64(t1.saturating_sub(container.max_span()))
-                        .build();
-                    let hi = KeyBuf::new().push_u64(sid.0).push_i64(t2).build();
-                    self.meter
-                        .cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
-                    for rid in container.rids_in_range(&lo, &hi)? {
-                        self.aggregate_batch(
-                            container, rid, *cold, t1, t2, tags, None, &tombs, tally, &mut agg,
-                        )?;
-                    }
-                }
-                if meta.ingest == Structure::Mg {
-                    let mg = self.mg.read().clone();
-                    let filter: HashSet<SourceId> = [sid].into_iter().collect();
-                    let lo = KeyBuf::new()
-                        .push_u32(meta.group.0)
-                        .push_i64(t1.saturating_sub(mg.max_span()))
-                        .build();
-                    let hi = KeyBuf::new().push_u32(meta.group.0).push_i64(t2).build();
-                    self.meter.cpu(self.meter.costs.btree_node_visit * mg.index_height() as f64);
-                    for rid in mg.rids_in_range(&lo, &hi)? {
-                        self.aggregate_batch(
-                            &mg,
-                            rid,
-                            false,
-                            t1,
-                            t2,
-                            tags,
-                            Some(&filter),
-                            &tombs,
-                            tally,
-                            &mut agg,
-                        )?;
-                    }
-                    let g = self.buffers.lock_mg(meta.group.0);
-                    if let Some(buf) = g.get(&meta.group.0) {
-                        for (_, t, values) in buf.rows_in_range(t1, t2, tags, Some(sid)) {
-                            if masks_row(&tombs, sid, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            agg.add_row(&values);
-                        }
-                    }
-                } else {
-                    {
-                        let g = self.buffers.lock_source(sid.0);
-                        if let Some(buf) = g.get(&sid.0) {
-                            for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                                if masks_row(&tombs, sid, t) {
-                                    tally.tombstone_masked_rows += 1;
-                                    continue;
-                                }
-                                agg.add_row(&values);
-                            }
-                        }
-                    }
-                    let g = self.side_buffers.lock_source(sid.0);
-                    if let Some(buf) = g.get(&sid.0) {
-                        for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                            if masks_row(&tombs, sid, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            agg.add_row(&values);
-                        }
-                    }
-                }
-                for job in self.pending_seals() {
-                    for (_, t, values) in job.rows_in_range(t1, t2, tags, Some(sid)) {
-                        if masks_row(&tombs, sid, t) {
-                            tally.tombstone_masked_rows += 1;
-                            continue;
-                        }
-                        agg.add_row(&values);
-                    }
-                }
-            }
-            None => {
-                // Whole-table aggregate: walk every sealed batch (the time
-                // reject in `aggregate_batch` skips non-intersecting ones
-                // at header cost) plus every open buffer.
-                for (container, cold) in &self.read_gens() {
-                    if container.record_count() == 0 {
-                        continue;
-                    }
-                    self.meter
-                        .cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
-                    for rid in container.all_rids()? {
-                        self.aggregate_batch(
-                            container, rid, *cold, t1, t2, tags, None, &tombs, tally, &mut agg,
-                        )?;
-                    }
-                }
-                let mg = self.mg.read().clone();
-                if mg.record_count() > 0 {
-                    self.meter.cpu(self.meter.costs.btree_node_visit * mg.index_height() as f64);
-                    for rid in mg.all_rids()? {
-                        self.aggregate_batch(
-                            &mg, rid, false, t1, t2, tags, None, &tombs, tally, &mut agg,
-                        )?;
-                    }
-                }
-                let (per_source, groups) = self.registry.partition(None, false);
-                for sid in per_source {
-                    {
-                        let g = self.buffers.lock_source(sid.0);
-                        if let Some(buf) = g.get(&sid.0) {
-                            for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                                if masks_row(&tombs, sid, t) {
-                                    tally.tombstone_masked_rows += 1;
-                                    continue;
-                                }
-                                agg.add_row(&values);
-                            }
-                        }
-                    }
-                    let g = self.side_buffers.lock_source(sid.0);
-                    if let Some(buf) = g.get(&sid.0) {
-                        for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                            if masks_row(&tombs, sid, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            agg.add_row(&values);
-                        }
-                    }
-                }
-                for gid in groups {
-                    let g = self.buffers.lock_mg(gid);
-                    if let Some(buf) = g.get(&gid) {
-                        for (id, t, values) in buf.rows_in_range(t1, t2, tags, None) {
-                            if masks_row(&tombs, id, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            agg.add_row(&values);
-                        }
-                    }
-                }
-                for job in self.pending_seals() {
-                    for (id, t, values) in job.rows_in_range(t1, t2, tags, None) {
-                        if masks_row(&tombs, id, t) {
-                            tally.tombstone_masked_rows += 1;
-                            continue;
-                        }
-                        agg.add_row(&values);
-                    }
-                }
-            }
-        }
-        Ok(agg)
-    }
-
-    /// Fold one sealed batch into `agg`: summary fast path when the range
-    /// fully covers the batch, no per-row filter applies, and no tombstone
-    /// could mask a row (a summary cannot subtract deleted rows — the
-    /// pushdown-soundness rule); cached decode otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn aggregate_batch(
-        &self,
-        container: &Container,
-        rid: u64,
-        cold: bool,
-        t1: i64,
-        t2: i64,
-        tags: &[usize],
-        filter: Option<&HashSet<SourceId>>,
-        tombs: &[Tombstone],
-        tally: &mut ReadTally,
-        agg: &mut RangeAggregate,
-    ) -> Result<()> {
-        let entry = self.fetch_cached(container, rid, cold, tally)?;
-        let batch = &entry.batch;
-        let (b_begin, b_end) = batch.time_range();
-        if b_end < t1 || b_begin > t2 {
-            return Ok(());
-        }
-        if let (Some(f), Some(source)) = (filter, batch.source()) {
-            if !f.contains(&source) {
-                return Ok(());
-            }
-        }
-        let fully_covered = b_begin >= t1 && b_end <= t2;
-        let filtered_mg = filter.is_some() && batch.source().is_none();
-        let tombstoned = masks_batch(tombs, batch.source(), b_begin, b_end);
-        if fully_covered && !filtered_mg && !tombstoned {
-            if let Some(sums) = batch.summaries() {
-                agg.rows += batch.n_points() as u64;
-                for (i, &tag) in tags.iter().enumerate() {
-                    agg.tags[i].merge(&sums[tag]);
-                }
-                tally.summary_answered_batches += 1;
-                return Ok(());
-            }
-        }
-        let cols = self.project_cached(&entry, tags, tally)?;
-        match batch {
-            Batch::Mg(b) => {
-                for (row, &t) in entry.ts.iter().enumerate() {
-                    if t < t1 || t > t2 {
-                        continue;
-                    }
-                    let id = b.ids[row];
-                    if let Some(f) = filter {
-                        if !f.contains(&id) {
-                            continue;
-                        }
-                    }
-                    if tombstoned && masks_row(tombs, id, t) {
-                        tally.tombstone_masked_rows += 1;
-                        continue;
-                    }
-                    agg.rows += 1;
-                    for (i, col) in cols.iter().enumerate() {
-                        agg.tags[i].add(col[row]);
-                    }
-                }
-            }
-            _ => {
-                // Per-source batch: `source()` is always `Some` here.
-                let src = batch.source();
-                for (row, &t) in entry.ts.iter().enumerate() {
-                    if t < t1 || t > t2 {
-                        continue;
-                    }
-                    if tombstoned && src.is_some_and(|s| masks_row(tombs, s, t)) {
-                        tally.tombstone_masked_rows += 1;
-                        continue;
-                    }
-                    agg.rows += 1;
-                    for (i, col) in cols.iter().enumerate() {
-                        agg.tags[i].add(col[row]);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Bucketed aggregate: [`OdhTable::aggregate_range`] split into
-    /// `interval_us`-wide time buckets keyed by
-    /// `ts.div_euclid(interval_us) * interval_us`. Sealed batches whose
-    /// rows land entirely inside one bucket — and that a source filter
-    /// cannot misattribute — are answered straight from their seal-time
-    /// summaries; batches straddling a bucket edge decode through the
-    /// cache and fold row-by-row. Open ingest buffers and queued seals
-    /// fold in per row (dirty-read isolation, as everywhere else).
-    pub fn bucket_aggregate(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        interval_us: i64,
-        tags: &[usize],
-    ) -> Result<BTreeMap<i64, RangeAggregate>> {
-        if interval_us <= 0 {
-            return Err(OdhError::Config(format!(
-                "bucket interval must be positive, got {interval_us}"
-            )));
-        }
-        self.read_consistent(|t, tally| {
-            t.bucket_aggregate_once(source, t1, t2, interval_us, tags, tally)
-        })
-    }
-
-    /// One optimistic pass of [`OdhTable::bucket_aggregate`]; only valid
-    /// if no seal overlapped it (see [`SealSync`]).
-    fn bucket_aggregate_once(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        interval_us: i64,
-        tags: &[usize],
-        tally: &mut ReadTally,
-    ) -> Result<BTreeMap<i64, RangeAggregate>> {
-        let (t1, t2) = (self.clamp_retention(t1.micros()), t2.micros());
-        let tombs = self.tombstones();
-        let mut map = BTreeMap::new();
-        match source {
-            Some(sid) => {
-                let meta = self.registry.require(sid)?;
-                // All per-source generations (see `historical_scan_once`).
-                for (container, cold) in &self.read_gens() {
-                    if container.record_count() == 0 {
-                        continue;
-                    }
-                    let lo = KeyBuf::new()
-                        .push_u64(sid.0)
-                        .push_i64(t1.saturating_sub(container.max_span()))
-                        .build();
-                    let hi = KeyBuf::new().push_u64(sid.0).push_i64(t2).build();
-                    self.meter
-                        .cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
-                    for rid in container.rids_in_range(&lo, &hi)? {
-                        self.bucket_batch(
-                            container,
-                            rid,
-                            *cold,
-                            t1,
-                            t2,
-                            interval_us,
-                            tags,
-                            None,
-                            &tombs,
-                            tally,
-                            &mut map,
-                        )?;
-                    }
-                }
-                if meta.ingest == Structure::Mg {
-                    let mg = self.mg.read().clone();
-                    let filter: HashSet<SourceId> = [sid].into_iter().collect();
-                    let lo = KeyBuf::new()
-                        .push_u32(meta.group.0)
-                        .push_i64(t1.saturating_sub(mg.max_span()))
-                        .build();
-                    let hi = KeyBuf::new().push_u32(meta.group.0).push_i64(t2).build();
-                    self.meter.cpu(self.meter.costs.btree_node_visit * mg.index_height() as f64);
-                    for rid in mg.rids_in_range(&lo, &hi)? {
-                        self.bucket_batch(
-                            &mg,
-                            rid,
-                            false,
-                            t1,
-                            t2,
-                            interval_us,
-                            tags,
-                            Some(&filter),
-                            &tombs,
-                            tally,
-                            &mut map,
-                        )?;
-                    }
-                    let g = self.buffers.lock_mg(meta.group.0);
-                    if let Some(buf) = g.get(&meta.group.0) {
-                        for (_, t, values) in buf.rows_in_range(t1, t2, tags, Some(sid)) {
-                            if masks_row(&tombs, sid, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                        }
-                    }
-                } else {
-                    {
-                        let g = self.buffers.lock_source(sid.0);
-                        if let Some(buf) = g.get(&sid.0) {
-                            for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                                if masks_row(&tombs, sid, t) {
-                                    tally.tombstone_masked_rows += 1;
-                                    continue;
-                                }
-                                bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                            }
-                        }
-                    }
-                    let g = self.side_buffers.lock_source(sid.0);
-                    if let Some(buf) = g.get(&sid.0) {
-                        for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                            if masks_row(&tombs, sid, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                        }
-                    }
-                }
-                for job in self.pending_seals() {
-                    for (_, t, values) in job.rows_in_range(t1, t2, tags, Some(sid)) {
-                        if masks_row(&tombs, sid, t) {
-                            tally.tombstone_masked_rows += 1;
-                            continue;
-                        }
-                        bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                    }
-                }
-            }
-            None => {
-                for (container, cold) in &self.read_gens() {
-                    if container.record_count() == 0 {
-                        continue;
-                    }
-                    self.meter
-                        .cpu(self.meter.costs.btree_node_visit * container.index_height() as f64);
-                    for rid in container.all_rids()? {
-                        self.bucket_batch(
-                            container,
-                            rid,
-                            *cold,
-                            t1,
-                            t2,
-                            interval_us,
-                            tags,
-                            None,
-                            &tombs,
-                            tally,
-                            &mut map,
-                        )?;
-                    }
-                }
-                let mg = self.mg.read().clone();
-                if mg.record_count() > 0 {
-                    self.meter.cpu(self.meter.costs.btree_node_visit * mg.index_height() as f64);
-                    for rid in mg.all_rids()? {
-                        self.bucket_batch(
-                            &mg,
-                            rid,
-                            false,
-                            t1,
-                            t2,
-                            interval_us,
-                            tags,
-                            None,
-                            &tombs,
-                            tally,
-                            &mut map,
-                        )?;
-                    }
-                }
-                let (per_source, groups) = self.registry.partition(None, false);
-                for sid in per_source {
-                    {
-                        let g = self.buffers.lock_source(sid.0);
-                        if let Some(buf) = g.get(&sid.0) {
-                            for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                                if masks_row(&tombs, sid, t) {
-                                    tally.tombstone_masked_rows += 1;
-                                    continue;
-                                }
-                                bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                            }
-                        }
-                    }
-                    let g = self.side_buffers.lock_source(sid.0);
-                    if let Some(buf) = g.get(&sid.0) {
-                        for (t, values) in buf.rows_in_range(t1, t2, tags) {
-                            if masks_row(&tombs, sid, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                        }
-                    }
-                }
-                for gid in groups {
-                    let g = self.buffers.lock_mg(gid);
-                    if let Some(buf) = g.get(&gid) {
-                        for (id, t, values) in buf.rows_in_range(t1, t2, tags, None) {
-                            if masks_row(&tombs, id, t) {
-                                tally.tombstone_masked_rows += 1;
-                                continue;
-                            }
-                            bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                        }
-                    }
-                }
-                for job in self.pending_seals() {
-                    for (id, t, values) in job.rows_in_range(t1, t2, tags, None) {
-                        if masks_row(&tombs, id, t) {
-                            tally.tombstone_masked_rows += 1;
-                            continue;
-                        }
-                        bucket_slot(&mut map, interval_us, tags.len(), t).add_row(&values);
-                    }
-                }
-            }
-        }
-        Ok(map)
-    }
-
-    /// Fold one sealed batch into per-bucket aggregates: summary fast path
-    /// when the batch is fully covered, unfiltered, untombstoned, and
-    /// spans one bucket; cached decode otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn bucket_batch(
-        &self,
-        container: &Container,
-        rid: u64,
-        cold: bool,
-        t1: i64,
-        t2: i64,
-        interval_us: i64,
-        tags: &[usize],
-        filter: Option<&HashSet<SourceId>>,
-        tombs: &[Tombstone],
-        tally: &mut ReadTally,
-        map: &mut BTreeMap<i64, RangeAggregate>,
-    ) -> Result<()> {
-        let entry = self.fetch_cached(container, rid, cold, tally)?;
-        let batch = &entry.batch;
-        let (b_begin, b_end) = batch.time_range();
-        if b_end < t1 || b_begin > t2 {
-            return Ok(());
-        }
-        if let (Some(f), Some(source)) = (filter, batch.source()) {
-            if !f.contains(&source) {
-                return Ok(());
-            }
-        }
-        let fully_covered = b_begin >= t1 && b_end <= t2;
-        let filtered_mg = filter.is_some() && batch.source().is_none();
-        let single_bucket = b_begin.div_euclid(interval_us) == b_end.div_euclid(interval_us);
-        let tombstoned = masks_batch(tombs, batch.source(), b_begin, b_end);
-        if fully_covered && !filtered_mg && single_bucket && !tombstoned {
-            if let Some(sums) = batch.summaries() {
-                let slot = bucket_slot(map, interval_us, tags.len(), b_begin);
-                slot.rows += batch.n_points() as u64;
-                for (i, &tag) in tags.iter().enumerate() {
-                    slot.tags[i].merge(&sums[tag]);
-                }
-                tally.summary_answered_batches += 1;
-                return Ok(());
-            }
-        }
-        let cols = self.project_cached(&entry, tags, tally)?;
-        let ids = match batch {
-            Batch::Mg(b) => Some(&b.ids),
-            _ => None,
-        };
-        // Per-source batches resolve every row to the batch's source.
-        let bsrc = batch.source().unwrap_or(SourceId(u64::MAX));
-        for (row, &t) in entry.ts.iter().enumerate() {
-            if t < t1 || t > t2 {
-                continue;
-            }
-            if let (Some(f), Some(ids)) = (filter, ids) {
-                if !f.contains(&ids[row]) {
-                    continue;
-                }
-            }
-            if tombstoned {
-                let src = match ids {
-                    Some(ids) => ids[row],
-                    None => bsrc,
-                };
-                if masks_row(tombs, src, t) {
-                    tally.tombstone_masked_rows += 1;
-                    continue;
-                }
-            }
-            let slot = bucket_slot(map, interval_us, tags.len(), t);
-            slot.rows += 1;
-            for (i, col) in cols.iter().enumerate() {
-                slot.tags[i].add(col[row]);
-            }
-        }
-        Ok(())
     }
 
     /// The decoded-batch cache (benchmarks clear it to measure cold runs).
@@ -2887,12 +2218,6 @@ impl OdhTable {
         self.cold_gen().record_count()
     }
 
-    fn note_scan(&self, out: &[ScanPoint]) {
-        let points: u64 =
-            out.iter().map(|p| p.values.iter().filter(|v| v.is_some()).count() as u64).sum();
-        self.stats.points_scanned.add(points);
-    }
-
     /// On-disk footprint of the live generations (hot + cold + MG).
     pub fn size_bytes(&self) -> u64 {
         let [rts, irts] = self.hot_gens();
@@ -2930,40 +2255,19 @@ impl Drop for OdhTable {
     }
 }
 
-/// Emit the in-range rows of one per-source batch.
-fn emit_rows(
-    ts: &[i64],
-    cols: &[Arc<Vec<Option<f64>>>],
-    source: SourceId,
-    t1: i64,
-    t2: i64,
-    out: &mut Vec<ScanPoint>,
-) {
-    for (row, &t) in ts.iter().enumerate() {
-        if t < t1 || t > t2 {
-            continue;
-        }
-        out.push(ScanPoint {
-            source,
-            ts: Timestamp(t),
-            values: cols.iter().map(|c| c[row]).collect(),
-        });
-    }
-}
-
-/// Pack buffered rows `(id?, ts, values)` into one owned
-/// [`ColumnarChunk`]; `None` when no rows matched.
+/// Pack in-memory rows into one owned [`ColumnarChunk`]; `None` when no
+/// rows matched. Per-source runs (`source` set) carry no id column.
 fn owned_chunk(
     tags_n: usize,
     source: Option<SourceId>,
-    rows: impl Iterator<Item = (Option<SourceId>, i64, Vec<Option<f64>>)>,
+    rows: impl Iterator<Item = BufferedRow>,
 ) -> Option<ColumnarChunk> {
     let mut ts = Vec::new();
     let mut ids = Vec::new();
     let mut cols: Vec<Vec<Option<f64>>> = vec![Vec::new(); tags_n];
     for (id, t, values) in rows {
         ts.push(t);
-        if let Some(id) = id {
+        if source.is_none() {
             ids.push(id);
         }
         for (c, v) in cols.iter_mut().zip(values) {
@@ -2975,23 +2279,23 @@ fn owned_chunk(
     }
     Some(ColumnarChunk {
         source,
-        ids: (!ids.is_empty()).then_some(ids),
+        ids: source.is_none().then_some(ids),
         ts,
         cols: cols.into_iter().map(Arc::new).collect(),
         start: 0,
     })
 }
 
-/// The per-bucket aggregate slot for timestamp `t`, created on demand.
+/// The aggregate slot for timestamp `t`, created on demand: its
+/// `interval`-wide bucket, or the single bucket 0 without an interval.
 fn bucket_slot(
     map: &mut BTreeMap<i64, RangeAggregate>,
-    interval_us: i64,
+    interval: Option<i64>,
     tags_n: usize,
     t: i64,
 ) -> &mut RangeAggregate {
-    let b = t.div_euclid(interval_us) * interval_us;
-    map.entry(b)
-        .or_insert_with(|| RangeAggregate { rows: 0, tags: vec![TagSummary::empty(); tags_n] })
+    let b = interval.map_or(0, |i| t.div_euclid(i) * i);
+    map.entry(b).or_insert_with(|| RangeAggregate::empty(tags_n))
 }
 
 /// Sort rows by timestamp (stable), carrying ids and columns along.
@@ -3362,6 +2666,30 @@ mod tests {
         let times: Vec<i64> = pts.iter().map(|p| p.ts.micros()).collect();
         assert_eq!(times, vec![5, 10, 15, 20, 30, 40, 50, 60]);
         assert_eq!(t.stats().snapshot().points_ingested, 16, "8 records × 2 tags");
+    }
+
+    /// A seal in the middle of a `put_cols` run raises the watermark for
+    /// the rest of the run, exactly as it does between row-by-row puts —
+    /// inline or pipelined, since the watermark moves at the buffer take.
+    #[test]
+    fn put_cols_routes_late_rows_like_put() {
+        let ts = [10i64, 20, 30, 40, 5];
+        let cols: Vec<Vec<Option<f64>>> =
+            vec![ts.iter().map(|&x| Some(x as f64)).collect(), vec![Some(0.0); ts.len()]];
+        let tables: [Arc<OdhTable>; 2] = [Arc::new(table(4)), pipelined_table(4, 2, 8)];
+        for t in &tables {
+            t.register_source(SourceId(1), SourceClass::irregular_high()).unwrap();
+            t.register_source(SourceId(2), SourceClass::irregular_high()).unwrap();
+            for (row, &x) in ts.iter().enumerate() {
+                t.put(&Record::new(SourceId(1), Timestamp(x), vec![cols[0][row], cols[1][row]]))
+                    .unwrap();
+            }
+            let by_row = t.stats().ooo_side_rows.get();
+            t.put_cols(SourceId(2), &ts, &cols).unwrap();
+            assert_eq!(by_row, 1, "row 5 arrives behind the sealed [10, 40] batch");
+            assert_eq!(t.stats().ooo_side_rows.get() - by_row, 1, "put_cols routes it too");
+            assert_eq!(t.stats().snapshot().records_ingested, 10);
+        }
     }
 
     #[test]

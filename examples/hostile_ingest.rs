@@ -29,9 +29,8 @@ fn main() -> odh_types::Result<()> {
     let at = |secs: i64| base + Duration::from_secs(secs);
     let counter = |name: &str| h.registry().sum_counter(name);
 
-    // 1. A day of ordered telemetry, then a flush: the flush is the
-    //    barrier that forces every seal (and the source's watermark
-    //    advance) to complete.
+    // 1. A day of ordered telemetry, then a flush: every row is sealed
+    //    and the source's watermark sits at its newest reading.
     for i in 0..96i64 {
         w.write(&Record::dense(SourceId(1), at(i * 900), [30.0 + (i % 7) as f64, 2.0]))?;
     }
