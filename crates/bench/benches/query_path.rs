@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the read path: the same aggregate
-//! answered from seal-time batch summaries (pushdown) versus by decoding
-//! every blob and folding rows, and row scans against a cold versus warm
-//! decoded-batch cache.
+//! answered from seal-time batch summaries (vectorized) versus by
+//! decoding every blob and folding rows (row path), and row scans against
+//! a cold versus warm decoded-batch cache.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use odh_bench::query_bench_historian;
@@ -29,9 +29,9 @@ fn bench_query_path(c: &mut Criterion) {
         b.iter(|| black_box(h.sql(boundary_agg).unwrap().rows.len()))
     });
     g.bench_function("agg_full_rowpath", |b| {
-        odh_sql::set_aggregate_pushdown(false);
+        h.set_vectorized(false);
         b.iter(|| black_box(h.sql(full_agg).unwrap().rows.len()));
-        odh_sql::set_aggregate_pushdown(true);
+        h.set_vectorized(true);
     });
     g.bench_function("scan_warm_cache", |b| {
         h.sql(scan).unwrap();

@@ -96,7 +96,7 @@ fn main() {
     // Hostile-ingest counter gates — deterministic, baseline-free: late
     // arrivals must be routed through the side buffer, and a tombstone
     // must knock exactly the overlapping batches off the summary fast
-    // path (pushdown soundness under deletes).
+    // path (summary soundness under deletes).
     {
         let h = Historian::builder().build().unwrap();
         h.define_schema_type(TableConfig::new(SchemaType::new("g", ["v"])).with_batch_size(16))
@@ -138,9 +138,10 @@ fn main() {
     }
 
     // Vectorized-execution gates. The in-run speedup compares the same
-    // warm-cache aggregate with pushdown ablated for both sides, so the
-    // only variable is columnar versus tuple-at-a-time execution — an
-    // apples-to-apples ratio that is stable on shared CI hardware.
+    // warm-cache aggregate, decoded on both sides (its tag predicate keeps
+    // summaries out), so the only variable is columnar versus
+    // tuple-at-a-time execution — an apples-to-apples ratio that is
+    // stable on shared CI hardware.
     let speedup_floor = env_pct("VEC_SPEEDUP_FLOOR", 1.5);
     match (find(&current, "vec_scan_agg"), find(&current, "row_scan_agg")) {
         (Some(v), Some(r)) => {

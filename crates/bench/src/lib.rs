@@ -537,8 +537,9 @@ pub fn run_ingest_bench_cli(thread_counts: &[usize]) -> Result<()> {
 /// a single representative execution (the last repetition).
 ///
 /// The sweep contrasts three axes:
-/// - **pushdown on/off** — the same aggregate answered from seal-time
-///   batch summaries versus by decoding every blob and folding rows;
+/// - **summaries vs rows** — the same aggregate answered from seal-time
+///   batch summaries (vectorized) versus by decoding every blob and
+///   folding rows (row path);
 /// - **cold/warm cache** — the decoded-batch cache cleared before every
 ///   repetition versus left warm from the previous one;
 /// - **full/boundary coverage** — a whole-table range (every batch
@@ -659,6 +660,10 @@ pub fn query_path_bench() -> Result<Vec<QueryBenchPoint>> {
     // boundary batches pay decode, interior ones answer from summaries.
     let boundary_agg = "select COUNT(*), SUM(t0), AVG(t1) from qb_v \
                         where timestamp between 100000000 and 900000000";
+    // A tag predicate (true of every row) keeps summaries out: each
+    // batch decodes and runs the filter and aggregate kernels.
+    let decoded_agg = "select COUNT(*), SUM(t0), AVG(t1), MIN(t2), MAX(t3) from qb_v \
+                       where t3 >= 0";
     let scan = "select t0, t1 from qb_v";
     let run = |op: &str, sql: &str, cold: bool| {
         run_query_point(&h, "qb", op, sql, repeats, cold, sources, points)
@@ -666,34 +671,22 @@ pub fn query_path_bench() -> Result<Vec<QueryBenchPoint>> {
     let mut out = Vec::new();
     out.push(run("agg_full_pushdown", full_agg, true)?);
     out.push(run("agg_boundary_pushdown", boundary_agg, true)?);
-    // Row-path ablation: both pushdown and vectorized execution off, so
-    // the point keeps measuring the original tuple-at-a-time fold.
-    odh_sql::set_aggregate_pushdown(false);
-    odh_sql::set_vectorized(false);
-    let ablation = (|| -> Result<()> {
-        out.push(run("agg_full_rowpath_cold", full_agg, true)?);
-        out.push(run("agg_full_rowpath_warm", full_agg, false)?);
-        Ok(())
-    })();
-    odh_sql::set_vectorized(true);
-    odh_sql::set_aggregate_pushdown(true);
-    ablation?;
+    // Row-path ablation: vectorized execution (and with it every summary
+    // answer) off, so the points measure the tuple-at-a-time fold.
+    h.set_vectorized(false);
+    out.push(run("agg_full_rowpath_cold", full_agg, true)?);
+    out.push(run("agg_full_rowpath_warm", full_agg, false)?);
+    h.set_vectorized(true);
     out.push(run("scan_cold", scan, true)?);
     out.push(run("scan_warm", scan, false)?);
 
-    // Vectorized section: the gated pair (same aggregate, warm cache,
-    // summary pushdown ablated for both, differing only in the vectorized
-    // toggle) plus the four time-series operator templates from WS2.
-    odh_sql::set_aggregate_pushdown(false);
-    let pair = (|| -> Result<()> {
-        out.push(run("vec_scan_agg", full_agg, false)?);
-        odh_sql::set_vectorized(false);
-        out.push(run("row_scan_agg", full_agg, false)?);
-        Ok(())
-    })();
-    odh_sql::set_vectorized(true);
-    odh_sql::set_aggregate_pushdown(true);
-    pair?;
+    // Vectorized section: the gated pair (same decoded aggregate, warm
+    // cache, differing only in vectorized execution) plus the four
+    // time-series operator templates from WS2.
+    out.push(run("vec_scan_agg", decoded_agg, false)?);
+    h.set_vectorized(false);
+    out.push(run("row_scan_agg", decoded_agg, false)?);
+    h.set_vectorized(true);
 
     let per_source = (points / sources.max(1)) as i64;
     let meta = DatasetMeta { sources, t0: 0, t1: (per_source - 1).max(1) * 1_000_000 };

@@ -40,7 +40,7 @@ use iotx::td::{TdSpec, TradeGen};
 use odh_pager::disk::MemDisk;
 use odh_pager::pool::BufferPool;
 use odh_sim::ResourceMeter;
-use odh_storage::{OdhTable, TableConfig};
+use odh_storage::{OdhTable, TableConfig, TimeGrain};
 use odh_types::{Duration, Result, SchemaType, SourceClass, SourceId, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -265,11 +265,14 @@ fn sweep_point(n: u64, live: impl Fn() -> u64) -> Result<ScalePoint> {
                     rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                     // A high-frequency source for the point read…
                     let hi = (rng >> 16) % n / 20 * 20;
-                    t.aggregate_range(
-                        Some(SourceId(hi)),
+                    let one: HashSet<SourceId> = [SourceId(hi)].into_iter().collect();
+                    t.scan_columnar(
                         Timestamp(0),
                         Timestamp(i64::MAX),
                         &[tag_for(hi, GROUP_SIZE)],
+                        Some(&one),
+                        &[],
+                        Some(TimeGrain::Whole),
                     )?;
                     // …and a 16-source filtered slice for the window read.
                     let lo = (rng >> 24) % n;

@@ -225,7 +225,7 @@ impl Historian {
 }
 
 /// Read-path counters for one schema type, summed across every server
-/// holding it — the observability window over the aggregate-pushdown and
+/// holding it — the observability window over the summary-answered and
 /// decoded-batch-cache paths. Take a snapshot before and after a query and
 /// diff: `summary_answered_batches` says how many sealed batches were
 /// answered from seal-time summaries without decoding; `cache_hits` /
@@ -412,6 +412,13 @@ impl Historian {
         self.note_vectorized(&profile);
         registry.note_duration("sql_exec", profile.exec_nanos);
         Ok(result)
+    }
+
+    /// Enable or disable vectorized execution for this historian's SQL
+    /// (on by default; off runs every query on the row pipeline, which
+    /// never reads seal-time summaries).
+    pub fn set_vectorized(&self, enabled: bool) {
+        self.engine.set_vectorized(enabled);
     }
 
     /// EXPLAIN: the optimizer's chosen plan.
@@ -684,7 +691,7 @@ mod tests {
         assert!(d.contains("scan m_v"), "{d}");
     }
 
-    /// End-to-end aggregate pushdown: a SUM/AVG over a range covering
+    /// End-to-end summary answering: a SUM/AVG over a range covering
     /// whole batches is answered from seal-time summaries — zero blob
     /// decodes — and agrees with folding the rows of a plain SELECT.
     #[test]
@@ -752,7 +759,7 @@ mod tests {
         );
         assert_eq!(agg.rows[0].get(3), &Datum::F64(5.0));
 
-        // The optimizer prices the pushdown below a row scan.
+        // Fewer needed tags price below a wider row scan.
         let agg_cost = h.explain("select COUNT(*), SUM(temperature) from environ_data_v").unwrap();
         let scan_cost = h.explain("select temperature, wind from environ_data_v").unwrap();
         let est = |s: &str| -> f64 {
@@ -775,7 +782,7 @@ mod tests {
         w.flush().unwrap();
 
         let ea = h.explain_analyze("select COUNT(*), SUM(v) from m_v").unwrap();
-        assert!(ea.contains("op=aggregate_pushdown m_v"), "{ea}");
+        assert!(ea.contains("op=vectorized_agg m_v"), "{ea}");
         assert!(ea.contains("rows_returned=1"), "{ea}");
         assert!(ea.contains("blob_decodes=0"), "summaries answer, nothing decodes: {ea}");
         assert!(ea.contains("summary_answered_batches=8"), "{ea}");

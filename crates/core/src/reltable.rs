@@ -226,6 +226,7 @@ mod tests {
         let req = ScanRequest {
             filters: vec![(1, ColumnFilter::Eq(Datum::I64(7)))],
             needed: vec![0, 1, 2],
+            summaries: None,
         };
         let rows = t.scan(&req).unwrap();
         assert_eq!(rows.len(), 10);
@@ -240,6 +241,7 @@ mod tests {
                 ColumnFilter::Range { lo: Some((Datum::Ts(Timestamp(190_000)), true)), hi: None },
             )],
             needed: vec![0],
+            summaries: None,
         };
         let rows = t.scan(&req).unwrap();
         assert_eq!(rows.len(), 10); // 190..200
@@ -248,13 +250,19 @@ mod tests {
     #[test]
     fn full_scan_when_no_index_applies() {
         let t = table();
-        let req =
-            ScanRequest { filters: vec![(2, ColumnFilter::Eq(Datum::F64(5.0)))], needed: vec![2] };
+        let req = ScanRequest {
+            filters: vec![(2, ColumnFilter::Eq(Datum::F64(5.0)))],
+            needed: vec![2],
+            summaries: None,
+        };
         let rows = t.scan(&req).unwrap();
         assert_eq!(rows.len(), 1);
         // Cost model reflects the full scan.
-        let idx_req =
-            ScanRequest { filters: vec![(1, ColumnFilter::Eq(Datum::I64(7)))], needed: vec![1] };
+        let idx_req = ScanRequest {
+            filters: vec![(1, ColumnFilter::Eq(Datum::I64(7)))],
+            needed: vec![1],
+            summaries: None,
+        };
         assert!(t.estimate_cost(&req) > t.estimate_cost(&idx_req));
     }
 
@@ -270,6 +278,7 @@ mod tests {
                 },
             )],
             needed: vec![0],
+            summaries: None,
         };
         let rows = t.scan(&req).unwrap();
         assert_eq!(rows.len(), 1); // only t=2000

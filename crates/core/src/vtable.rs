@@ -15,13 +15,12 @@
 
 use crate::cluster::Cluster;
 use crate::router::DataRouter;
-use odh_sql::ast::AggFunc;
-use odh_sql::column::{ColVec, ColumnBatch};
-use odh_sql::provider::{AggRequest, ColumnFilter, ColumnarScan, ScanRequest, TableProvider};
-use odh_storage::{ColumnarChunk, OdhTable, RangeAggregate, ScanPoint};
+use odh_sql::column::{ColVec, ColumnBatch, NumAgg};
+use odh_sql::provider::{ColumnFilter, ColumnarScan, ScanRequest, SummaryGrain, TableProvider};
+use odh_storage::{ColumnarChunk, OdhTable, ScanPoint, TimeGrain};
 use odh_types::{Datum, RelSchema, Result, Row, SourceId, Timestamp};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 
 /// K-way merge of per-server scan results, each already sorted by
@@ -60,24 +59,6 @@ fn merge_sorted(mut runs: Vec<Vec<ScanPoint>>) -> Vec<ScanPoint> {
 /// metadata SQL query is roughly a page's worth of work).
 const ROUTER_COST_BYTES: f64 = 64.0 * 1024.0;
 
-/// Finalize one pushed-down aggregate with the executor's SQL semantics:
-/// `COUNT` is never NULL, the rest are NULL over zero non-NULL inputs.
-/// `slot` indexes the folded tag summaries; `None` is `COUNT(*)`.
-fn finalize_agg(func: AggFunc, slot: Option<usize>, agg: &RangeAggregate) -> Datum {
-    let Some(pos) = slot else {
-        return Datum::I64(agg.rows as i64); // COUNT(*)
-    };
-    let s = &agg.tags[pos];
-    match func {
-        AggFunc::Count => Datum::I64(s.count as i64),
-        AggFunc::Sum if s.count > 0 => Datum::F64(s.sum),
-        AggFunc::Avg if s.count > 0 => Datum::F64(s.sum / s.count as f64),
-        AggFunc::Min if s.count > 0 => Datum::F64(s.min),
-        AggFunc::Max if s.count > 0 => Datum::F64(s.max),
-        _ => Datum::Null,
-    }
-}
-
 /// VTI provider over one schema type of a cluster.
 pub struct VirtualTable {
     cluster: Arc<Cluster>,
@@ -114,35 +95,38 @@ impl VirtualTable {
         needed.iter().filter(|&&c| c >= 2).map(|&c| c - 2).collect()
     }
 
-    fn time_bounds(filters: &[(usize, ColumnFilter)]) -> (Timestamp, Timestamp) {
-        let mut t1 = Timestamp::MIN;
-        let mut t2 = Timestamp::MAX;
+    /// The time range `[t1, t2]` the filters select, exactly: timestamps
+    /// are integer microseconds, so an open bound is the closed bound one
+    /// tick in. The flag says whether these bounds and an `id =` filter
+    /// honor *every* filter exactly — false for tag filters, id ranges
+    /// and mistyped literals, which only the executor's re-check applies.
+    fn time_bounds(filters: &[(usize, ColumnFilter)]) -> (Timestamp, Timestamp, bool) {
+        let (mut t1, mut t2, mut exact) = (Timestamp::MIN, Timestamp::MAX, true);
         for (c, f) in filters {
-            if *c != 1 {
-                continue;
-            }
-            match f {
-                ColumnFilter::Eq(d) => {
-                    if let Some(t) = d.as_ts() {
-                        t1 = t;
-                        t2 = t;
-                    }
-                }
-                ColumnFilter::Range { lo, hi } => {
-                    if let Some((d, _)) = lo {
-                        if let Some(t) = d.as_ts() {
-                            t1 = t1.max(t);
+            match (*c, f) {
+                (0, ColumnFilter::Eq(d)) if d.as_i64().is_some() => {}
+                (1, ColumnFilter::Eq(d)) => match d.as_ts() {
+                    Some(t) => (t1, t2) = (t1.max(t), t2.min(t)),
+                    None => exact = false,
+                },
+                (1, ColumnFilter::Range { lo, hi }) => {
+                    if let Some((d, inc)) = lo {
+                        match d.as_ts() {
+                            Some(t) => t1 = t1.max(Timestamp(t.0.saturating_add(i64::from(!inc)))),
+                            None => exact = false,
                         }
                     }
-                    if let Some((d, _)) = hi {
-                        if let Some(t) = d.as_ts() {
-                            t2 = t2.min(t);
+                    if let Some((d, inc)) = hi {
+                        match d.as_ts() {
+                            Some(t) => t2 = t2.min(Timestamp(t.0.saturating_sub(i64::from(!inc)))),
+                            None => exact = false,
                         }
                     }
                 }
+                _ => exact = false,
             }
         }
-        (t1, t2)
+        (t1, t2, exact)
     }
 
     /// Conjunctive ranges on tag columns (index ≥ 2), translated for the
@@ -173,117 +157,14 @@ impl VirtualTable {
         out
     }
 
-    /// Exact `(source, t1, t2)` bounds for an aggregate pushdown, when
-    /// every filter is one this provider can honor *exactly*: `id =` plus
-    /// `timestamp` equality/ranges. There are no rows left for the
-    /// executor to re-check, so bound inclusivity must be respected here —
-    /// timestamps are integer microseconds, so an open bound is the
-    /// closed bound one tick in. Anything else (tag filters, id ranges,
-    /// mistyped literals) declines the pushdown.
-    fn agg_bounds(
-        filters: &[(usize, ColumnFilter)],
-    ) -> Option<(Option<SourceId>, Timestamp, Timestamp)> {
-        let mut source = None;
-        let mut t1 = Timestamp::MIN;
-        let mut t2 = Timestamp::MAX;
-        for (c, f) in filters {
-            match (*c, f) {
-                (0, ColumnFilter::Eq(d)) => source = Some(SourceId(d.as_i64()? as u64)),
-                (1, ColumnFilter::Eq(d)) => {
-                    let t = d.as_ts()?;
-                    t1 = t1.max(t);
-                    t2 = t2.min(t);
-                }
-                (1, ColumnFilter::Range { lo, hi }) => {
-                    if let Some((d, inc)) = lo {
-                        let t = d.as_ts()?.micros();
-                        t1 = t1.max(Timestamp(if *inc { t } else { t.saturating_add(1) }));
-                    }
-                    if let Some((d, inc)) = hi {
-                        let t = d.as_ts()?.micros();
-                        t2 = t2.min(Timestamp(if *inc { t } else { t.saturating_sub(1) }));
-                    }
-                }
-                _ => return None,
-            }
-        }
-        Some((source, t1, t2))
-    }
-
-    /// Map each aggregate to a slot in the folded tag summaries: `None`
-    /// for COUNT(*), else the position of its tag in the returned tag
-    /// list. Only COUNT(*) and tag-column aggregates are summary-
-    /// answerable; anything else (aggregates over id/timestamp) declines
-    /// to the row path.
-    fn agg_slots(&self, aggs: &[AggRequest]) -> Option<(Vec<usize>, Vec<Option<usize>>)> {
-        let mut tags: Vec<usize> = Vec::new();
-        let mut slots = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            match a.input {
-                None if a.func == AggFunc::Count => slots.push(None),
-                Some(c) if c >= 2 && c - 2 < self.tag_count => {
-                    let tag = c - 2;
-                    let pos = tags.iter().position(|&t| t == tag).unwrap_or_else(|| {
-                        tags.push(tag);
-                        tags.len() - 1
-                    });
-                    slots.push(Some(pos));
-                }
-                _ => return None,
-            }
-        }
-        Some((tags, slots))
-    }
-
-    /// Fold `tags` on the server(s) holding this type and merge the
-    /// per-server partials bucket by bucket: [`OdhTable::bucket_aggregate`]
-    /// with an interval, [`OdhTable::aggregate_range`] (one bucket, key 0)
-    /// without.
-    fn fold_cluster(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        interval: Option<i64>,
-        tags: &[usize],
-    ) -> Result<BTreeMap<i64, RangeAggregate>> {
-        let mut total = BTreeMap::new();
-        if t1 > t2 {
-            return Ok(total);
-        }
-        let servers = match source {
-            // Partition elimination, as in `scan`: one source, one server.
-            Some(sid) => match self.router.route_source(sid) {
-                Ok(idx) => vec![idx],
-                // An id that was never registered matches nothing.
-                Err(e) if e.kind() == "not_found" => return Ok(total),
-                Err(e) => return Err(e),
-            },
-            None => self.router.route_type(&self.schema_type)?,
-        };
-        for idx in servers {
-            let table = self.cluster.servers()[idx].table(&self.schema_type)?;
-            let parts = match interval {
-                Some(i) => table.bucket_aggregate(source, t1, t2, i, tags)?,
-                None => BTreeMap::from([(0, table.aggregate_range(source, t1, t2, tags)?)]),
-            };
-            for (start, part) in parts {
-                let slot = total.entry(start).or_insert_with(|| RangeAggregate::empty(tags.len()));
-                slot.rows += part.rows;
-                for (a, b) in slot.tags.iter_mut().zip(&part.tags) {
-                    a.merge(b);
-                }
-            }
-        }
-        Ok(total)
-    }
-
     /// Convert one storage chunk into a SQL column batch: id and
     /// timestamp materialize as integer vectors, tag columns stay
-    /// zero-copy windows into the decode cache.
+    /// zero-copy windows into the decode cache. A batch summary becomes a
+    /// summary batch over its requested tags.
     fn chunk_to_batch(&self, chunk: ColumnarChunk, tags: &[usize]) -> ColumnBatch {
         let len = chunk.ts.len();
         let arity = self.rel_schema.arity();
+        let dtypes = self.rel_schema.columns.iter().map(|c| c.dtype).collect();
         let mut cols = vec![ColVec::Absent; arity];
         cols[0] = match (chunk.source, chunk.ids) {
             (Some(sid), _) => ColVec::ConstI64(sid.0 as i64),
@@ -292,6 +173,20 @@ impl VirtualTable {
             }
             (None, None) => ColVec::Absent,
         };
+        if let Some(sum) = chunk.summary {
+            for (s, &tag) in sum.tags.iter().zip(tags) {
+                let (count, sum, min, max) = (s.count as i64, s.sum, s.min, s.max);
+                cols[2 + tag] = ColVec::Summary(NumAgg { count, sum, min, max });
+            }
+            let len = sum.rows as usize;
+            return ColumnBatch {
+                len,
+                dtypes,
+                cols,
+                ts_range: Some(sum.time_range),
+                summary: true,
+            };
+        }
         let ts_range = match (chunk.ts.iter().min(), chunk.ts.iter().max()) {
             (Some(&lo), Some(&hi)) => Some((lo, hi)),
             _ => None,
@@ -300,12 +195,7 @@ impl VirtualTable {
         for (i, &tag) in tags.iter().enumerate() {
             cols[2 + tag] = ColVec::Shared { data: chunk.cols[i].clone(), start: chunk.start };
         }
-        ColumnBatch {
-            len,
-            dtypes: self.rel_schema.columns.iter().map(|c| c.dtype).collect(),
-            cols,
-            ts_range,
-        }
+        ColumnBatch { len, dtypes, cols, ts_range, summary: false }
     }
 
     fn id_eq(filters: &[(usize, ColumnFilter)]) -> Option<SourceId> {
@@ -386,7 +276,7 @@ impl TableProvider for VirtualTable {
         if Self::id_eq(filters).is_some() {
             est /= sources;
         }
-        let (t1, t2) = Self::time_bounds(filters);
+        let (t1, t2, _) = Self::time_bounds(filters);
         if t1 > Timestamp::MIN || t2 < Timestamp::MAX {
             let span = stats.span_us().max(1) as f64;
             let lo = t1.micros().max(stats.min_ts.load(Relaxed)) as f64;
@@ -407,7 +297,7 @@ impl TableProvider for VirtualTable {
 
     fn scan(&self, req: &ScanRequest) -> Result<Vec<Row>> {
         let tags = self.needed_tags(&req.needed);
-        let (t1, t2) = Self::time_bounds(&req.filters);
+        let (t1, t2, _) = Self::time_bounds(&req.filters);
         if let Some(source) = Self::id_eq(&req.filters) {
             // Partition elimination: one source, one server. An id that
             // was never registered simply matches nothing.
@@ -458,8 +348,16 @@ impl TableProvider for VirtualTable {
 
     fn scan_columnar(&self, req: &ScanRequest) -> Option<Result<ColumnarScan>> {
         let tags = self.needed_tags(&req.needed);
-        let (t1, t2) = Self::time_bounds(&req.filters);
+        let (t1, t2, exact) = Self::time_bounds(&req.filters);
         let ranges = self.tag_ranges(&req.filters);
+        // Storage summarizes batches inside `[t1, t2]`, so only bounds
+        // that honor every filter exactly allow it, and only timestamp
+        // buckets map onto its time grain.
+        let grain = req.summaries.filter(|_| exact).and_then(|g| match g {
+            SummaryGrain::Whole => Some(TimeGrain::Whole),
+            SummaryGrain::Bucket { column: 1, width } => Some(TimeGrain::Bucket(width)),
+            SummaryGrain::Bucket { .. } => None,
+        });
         Some((|| {
             let meter = self.cluster.meter();
             if let Some(source) = Self::id_eq(&req.filters) {
@@ -473,7 +371,7 @@ impl TableProvider for VirtualTable {
                 };
                 let table = self.cluster.servers()[server_idx].table(&self.schema_type)?;
                 let only: HashSet<SourceId> = [source].into_iter().collect();
-                let chunks = table.scan_columnar(t1, t2, &tags, Some(&only), &ranges)?;
+                let chunks = table.scan_columnar(t1, t2, &tags, Some(&only), &ranges, grain)?;
                 let batches: Vec<ColumnBatch> =
                     chunks.into_iter().map(|c| self.chunk_to_batch(c, &tags)).collect();
                 meter.cpu(meter.costs.vti_cell_assemble * batches.len() as f64);
@@ -496,7 +394,9 @@ impl TableProvider for VirtualTable {
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = tables
                         .iter()
-                        .map(|t| scope.spawn(|| t.scan_columnar(t1, t2, &tags, None, &ranges)))
+                        .map(|t| {
+                            scope.spawn(|| t.scan_columnar(t1, t2, &tags, None, &ranges, grain))
+                        })
                         .collect();
                     handles
                         .into_iter()
@@ -506,7 +406,7 @@ impl TableProvider for VirtualTable {
             } else {
                 tables
                     .iter()
-                    .map(|t| t.scan_columnar(t1, t2, &tags, None, &ranges))
+                    .map(|t| t.scan_columnar(t1, t2, &tags, None, &ranges, grain))
                     .collect::<Result<_>>()?
             };
             let batches: Vec<ColumnBatch> =
@@ -517,66 +417,6 @@ impl TableProvider for VirtualTable {
             meter.cpu(meter.costs.vti_cell_assemble * batches.len() as f64);
             Ok(ColumnarScan { batches })
         })())
-    }
-
-    fn bucket_scan(
-        &self,
-        filters: &[(usize, ColumnFilter)],
-        bucket_col: usize,
-        interval_us: i64,
-        aggs: &[AggRequest],
-    ) -> Option<Result<Vec<(i64, Vec<Datum>)>>> {
-        // Only timestamp bucketing maps onto storage time buckets.
-        if bucket_col != 1 || interval_us <= 0 {
-            return None;
-        }
-        let (source, t1, t2) = Self::agg_bounds(filters)?;
-        let (tags, slots) = self.agg_slots(aggs)?;
-        Some((|| {
-            let buckets = self.fold_cluster(source, t1, t2, Some(interval_us), &tags)?;
-            let meter = self.cluster.meter();
-            meter.cpu(meter.costs.vti_cell_assemble * (buckets.len() * aggs.len()) as f64);
-            Ok(buckets
-                .into_iter()
-                .map(|(start, agg)| {
-                    (
-                        start,
-                        aggs.iter()
-                            .zip(&slots)
-                            .map(|(a, s)| finalize_agg(a.func, *s, &agg))
-                            .collect(),
-                    )
-                })
-                .collect())
-        })())
-    }
-
-    fn aggregate_scan(
-        &self,
-        filters: &[(usize, ColumnFilter)],
-        aggs: &[AggRequest],
-    ) -> Option<Result<Vec<Datum>>> {
-        let (source, t1, t2) = Self::agg_bounds(filters)?;
-        let (tags, slots) = self.agg_slots(aggs)?;
-        Some((|| {
-            let mut buckets = self.fold_cluster(source, t1, t2, None, &tags)?;
-            let agg = buckets.remove(&0).unwrap_or_else(|| RangeAggregate::empty(tags.len()));
-            // One result row's worth of VTI assembly.
-            let meter = self.cluster.meter();
-            meter.cpu(meter.costs.vti_cell_assemble * aggs.len() as f64);
-            Ok(aggs.iter().zip(&slots).map(|(a, s)| finalize_agg(a.func, *s, &agg)).collect())
-        })())
-    }
-
-    fn estimate_aggregate_cost(&self, filters: &[(usize, ColumnFilter)]) -> Option<f64> {
-        Self::agg_bounds(filters)?;
-        // Fully-covered batches answer from their seal-time summaries
-        // (tens of bytes each); only boundary batches decode blobs. Model:
-        // summary bytes per covered batch plus two batch decodes.
-        let rows = self.estimate_rows(filters);
-        let summary_bytes = (rows / 64.0).max(1.0) * 40.0;
-        let boundary = 2.0 * 64.0 * self.bytes_per_row_per_tag() * self.tag_count as f64;
-        Some(ROUTER_COST_BYTES + summary_bytes + boundary)
     }
 
     fn probe_cost(&self, column: usize) -> Option<f64> {
@@ -695,6 +535,7 @@ mod tests {
         let req = ScanRequest {
             filters: vec![(0, ColumnFilter::Eq(Datum::I64(3)))],
             needed: vec![0, 1, 2],
+            summaries: None,
         };
         let rows = v.scan(&req).unwrap();
         assert_eq!(rows.len(), 40);
@@ -716,6 +557,7 @@ mod tests {
                 },
             )],
             needed: vec![0, 1, 2, 3],
+            summaries: None,
         };
         let rows = v.scan(&req).unwrap();
         // Samples land at i·100ms + id µs: i in 10..=19 for every source
@@ -729,7 +571,7 @@ mod tests {
     #[test]
     fn fanout_is_concurrent_and_ordered() {
         let (c, v) = setup();
-        let req = ScanRequest { filters: vec![], needed: vec![0, 1, 2, 3] };
+        let req = ScanRequest { filters: vec![], needed: vec![0, 1, 2, 3], summaries: None };
         let rows = v.scan(&req).unwrap();
         assert_eq!(rows.len(), 320);
         // Globally ordered by (timestamp, id) — exactly what a serial
@@ -780,83 +622,107 @@ mod tests {
         let all = v.estimate_rows(&[]);
         let one = v.estimate_rows(&[(0, ColumnFilter::Eq(Datum::I64(3)))]);
         assert!(one < all);
-        let req_all = ScanRequest { filters: vec![], needed: vec![0, 1, 2, 3] };
-        let req_one_tag = ScanRequest { filters: vec![], needed: vec![0, 1, 2] };
+        let req_all = ScanRequest { filters: vec![], needed: vec![0, 1, 2, 3], summaries: None };
+        let req_one_tag = ScanRequest { filters: vec![], needed: vec![0, 1, 2], summaries: None };
         assert!(v.estimate_cost(&req_one_tag) < v.estimate_cost(&req_all));
     }
 
-    #[test]
-    fn aggregate_scan_matches_row_fold() {
-        let (_, v) = setup();
-        let aggs = [
-            AggRequest { func: AggFunc::Count, input: None },
-            AggRequest { func: AggFunc::Count, input: Some(2) },
-            AggRequest { func: AggFunc::Sum, input: Some(2) },
-            AggRequest { func: AggFunc::Avg, input: Some(2) },
-            AggRequest { func: AggFunc::Min, input: Some(3) },
-            AggRequest { func: AggFunc::Max, input: Some(3) },
-        ];
-        // Exclusive upper bound: the pushdown must honor it exactly (the
-        // scan path over-returns and lets the executor re-check; here
-        // nobody re-checks).
-        let filters = vec![(
-            1,
-            ColumnFilter::Range {
-                lo: Some((Datum::Ts(Timestamp(1_000_000)), true)),
-                hi: Some((Datum::Ts(Timestamp(2_000_000)), false)),
-            },
-        )];
-        let cells = v.aggregate_scan(&filters, &aggs).unwrap().unwrap();
-        let rows = v
-            .scan(&ScanRequest { filters: filters.clone(), needed: vec![0, 1, 2, 3] })
-            .unwrap()
-            .into_iter()
-            .filter(|r| filters.iter().all(|(c, f)| f.matches(r.get(*c))))
-            .collect::<Vec<_>>();
-        let temps: Vec<f64> = rows.iter().filter_map(|r| r.get(2).as_f64()).collect();
-        let winds: Vec<f64> = rows.iter().filter_map(|r| r.get(3).as_f64()).collect();
-        assert_eq!(cells[0], Datum::I64(rows.len() as i64));
-        assert_eq!(cells[1], Datum::I64(temps.len() as i64));
-        assert_eq!(cells[2].as_f64().unwrap(), temps.iter().sum::<f64>());
-        assert_eq!(cells[3].as_f64().unwrap(), temps.iter().sum::<f64>() / temps.len() as f64);
-        assert_eq!(cells[4].as_f64().unwrap(), winds.iter().cloned().fold(f64::INFINITY, f64::min));
-        assert_eq!(
-            cells[5].as_f64().unwrap(),
-            winds.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-        );
+    /// Per-bucket `(rows, fold of column `col`)` of a columnar scan:
+    /// summary batches by their summary, row batches row by row after
+    /// re-checking the filters. Also returns the summary-batch count.
+    fn fold_batches(
+        v: &VirtualTable,
+        req: &ScanRequest,
+        col: usize,
+        width: i64,
+    ) -> (std::collections::BTreeMap<i64, (usize, NumAgg)>, usize) {
+        let mut out = std::collections::BTreeMap::new();
+        let mut summaries = 0;
+        let empty = NumAgg { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY };
+        for b in v.scan_columnar(req).unwrap().unwrap().batches {
+            if b.summary {
+                summaries += 1;
+                let ColVec::Summary(n) = b.cols[col] else { panic!("summary column") };
+                let slot = out.entry(b.ts_range.unwrap().0.div_euclid(width)).or_insert((0, empty));
+                slot.0 += b.len;
+                slot.1.count += n.count;
+                slot.1.sum += n.sum;
+                slot.1.min = slot.1.min.min(n.min);
+                slot.1.max = slot.1.max.max(n.max);
+                continue;
+            }
+            for i in 0..b.len {
+                let row = b.row_datums(i);
+                if !req.filters.iter().all(|(c, f)| f.matches(&row[*c])) {
+                    continue;
+                }
+                let bucket = row[1].as_ts().unwrap().micros().div_euclid(width);
+                let slot = out.entry(bucket).or_insert((0, empty));
+                slot.0 += 1;
+                if let Some(x) = row[col].as_f64() {
+                    slot.1.count += 1;
+                    slot.1.sum += x;
+                    slot.1.min = slot.1.min.min(x);
+                    slot.1.max = slot.1.max.max(x);
+                }
+            }
+        }
+        (out, summaries)
     }
 
     #[test]
-    fn aggregate_scan_declines_what_it_cannot_answer_exactly() {
+    fn summary_scans_fold_like_row_scans() {
         let (_, v) = setup();
-        let count = [AggRequest { func: AggFunc::Count, input: None }];
+        // Exclusive upper bound on a batch edge (source 0's third batch
+        // ends at 2.3 s): the bounds must be exact, since a summary leaves
+        // no rows to re-check.
+        let filters = vec![(
+            1,
+            ColumnFilter::Range {
+                lo: Some((Datum::Ts(Timestamp(0)), true)),
+                hi: Some((Datum::Ts(Timestamp(2_300_000)), false)),
+            },
+        )];
+        for (grain, width) in [
+            (SummaryGrain::Whole, i64::MAX),
+            (SummaryGrain::Bucket { column: 1, width: 1_000_000 }, 1_000_000),
+        ] {
+            let req =
+                ScanRequest { filters: filters.clone(), needed: vec![1, 2, 3], summaries: None };
+            let (want, none) = fold_batches(&v, &req, 3, width);
+            assert_eq!(none, 0, "no summaries unless requested");
+            let req = ScanRequest { summaries: Some(grain), ..req };
+            let (got, summarized) = fold_batches(&v, &req, 3, width);
+            assert!(summarized > 0, "{grain:?}: covered batches answer from summaries");
+            assert_eq!(got, want, "{grain:?}");
+        }
+    }
+
+    #[test]
+    fn summaries_only_where_filters_are_exact() {
+        let (_, v) = setup();
+        let summarized = |filters: Vec<(usize, ColumnFilter)>, grain: SummaryGrain| {
+            let req = ScanRequest { filters, needed: vec![0, 1, 2], summaries: Some(grain) };
+            fold_batches(&v, &req, 2, i64::MAX).1
+        };
+        assert!(summarized(vec![], SummaryGrain::Whole) > 0);
+        assert!(summarized(vec![(0, ColumnFilter::Eq(Datum::I64(3)))], SummaryGrain::Whole) > 0);
         // Tag filters and id ranges are not expressible over summaries.
-        assert!(v.aggregate_scan(&[(2, ColumnFilter::Eq(Datum::F64(20.0)))], &count).is_none());
-        assert!(v
-            .aggregate_scan(
-                &[(0, ColumnFilter::Range { lo: Some((Datum::I64(1), true)), hi: None })],
-                &count,
-            )
-            .is_none());
-        // Aggregates over id/timestamp fall back to the row path.
-        assert!(v
-            .aggregate_scan(&[], &[AggRequest { func: AggFunc::Min, input: Some(1) }])
-            .is_none());
-        // An unregistered id is the zero-row aggregate, not an error.
-        let cells = v
-            .aggregate_scan(
-                &[(0, ColumnFilter::Eq(Datum::I64(999)))],
-                &[
-                    AggRequest { func: AggFunc::Count, input: None },
-                    AggRequest { func: AggFunc::Sum, input: Some(2) },
-                ],
-            )
-            .unwrap()
-            .unwrap();
-        assert_eq!(cells, vec![Datum::I64(0), Datum::Null]);
-        // And the cost hook prices what it would accept, nothing else.
-        assert!(v.estimate_aggregate_cost(&[]).is_some());
-        assert!(v.estimate_aggregate_cost(&[(2, ColumnFilter::Eq(Datum::F64(20.0)))]).is_none());
+        assert_eq!(
+            summarized(vec![(2, ColumnFilter::Eq(Datum::F64(20.0)))], SummaryGrain::Whole),
+            0
+        );
+        let id_range = ColumnFilter::Range { lo: Some((Datum::I64(1), true)), hi: None };
+        assert_eq!(summarized(vec![(0, id_range)], SummaryGrain::Whole), 0);
+        // Only timestamp buckets map onto storage time buckets.
+        assert_eq!(summarized(vec![], SummaryGrain::Bucket { column: 0, width: 4 }), 0);
+        // An unregistered id is an empty scan, not an error.
+        let req = ScanRequest {
+            filters: vec![(0, ColumnFilter::Eq(Datum::I64(999)))],
+            needed: vec![0, 1, 2],
+            summaries: Some(SummaryGrain::Whole),
+        };
+        assert!(v.scan_columnar(&req).unwrap().unwrap().batches.is_empty());
     }
 
     #[test]
@@ -871,6 +737,7 @@ mod tests {
                 },
             )],
             needed: vec![0, 1, 2, 3],
+            summaries: None,
         };
         let rows = v.scan(&req).unwrap();
         let scan = v.scan_columnar(&req).unwrap().unwrap();
@@ -886,35 +753,6 @@ mod tests {
         assert_eq!(pivoted, want);
         // Sealed chunks advertise their time range for LAST short-circuit.
         assert!(scan.batches.iter().all(|b| b.ts_range.is_some()));
-    }
-
-    #[test]
-    fn bucket_scan_matches_per_bucket_aggregates() {
-        let (_, v) = setup();
-        let aggs = [
-            AggRequest { func: AggFunc::Count, input: None },
-            AggRequest { func: AggFunc::Sum, input: Some(2) },
-        ];
-        let interval = 1_000_000i64; // 1s buckets over 0..4s of data
-        let buckets = v.bucket_scan(&[], 1, interval, &aggs).unwrap().unwrap();
-        assert_eq!(buckets.len(), 4);
-        assert!(buckets.windows(2).all(|w| w[0].0 < w[1].0), "ascending bucket starts");
-        for (start, cells) in &buckets {
-            let filters = vec![(
-                1,
-                ColumnFilter::Range {
-                    lo: Some((Datum::Ts(Timestamp(*start)), true)),
-                    hi: Some((Datum::Ts(Timestamp(start + interval)), false)),
-                },
-            )];
-            let want = v.aggregate_scan(&filters, &aggs).unwrap().unwrap();
-            assert_eq!(cells, &want, "bucket {start}");
-        }
-        // Declines: non-timestamp bucket column, inexpressible filters.
-        assert!(v.bucket_scan(&[], 0, interval, &aggs).is_none());
-        assert!(v
-            .bucket_scan(&[(2, ColumnFilter::Eq(Datum::F64(20.0)))], 1, interval, &aggs)
-            .is_none());
     }
 
     #[test]

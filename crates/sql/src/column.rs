@@ -67,6 +67,9 @@ pub enum ColVec {
         data: Arc<Vec<Option<f64>>>,
         start: usize,
     },
+    /// A summary batch's column: the fold of all `batch.len` rows, with
+    /// no per-row cells (see [`ColumnBatch::summary`]).
+    Summary(NumAgg),
 }
 
 impl ColVec {
@@ -101,6 +104,7 @@ impl ColVec {
                 Some(v) => Datum::F64(v),
                 None => Datum::Null,
             },
+            ColVec::Summary(_) => Datum::Null,
         }
     }
 
@@ -126,6 +130,31 @@ impl ColVec {
         }
     }
 
+    /// Do rows `a` and `b` hold the same cell, as a group key? Agrees
+    /// with [`Datum`] equality (floats by bits, NULL equals NULL) without
+    /// building either datum.
+    #[inline]
+    pub fn same(&self, a: usize, b: usize) -> bool {
+        fn cell<T: PartialEq>(data: &[T], validity: &Option<Vec<u64>>, a: usize, b: usize) -> bool {
+            match (bit(validity, a), bit(validity, b)) {
+                (true, true) => data[a] == data[b],
+                (va, vb) => va == vb,
+            }
+        }
+        match self {
+            ColVec::Absent | ColVec::ConstI64(_) | ColVec::Summary(_) => true,
+            ColVec::I64 { data, validity } => cell(data, validity, a, b),
+            ColVec::Str { data, validity } => cell(data, validity, a, b),
+            ColVec::F64 { data, validity } => match (bit(validity, a), bit(validity, b)) {
+                (true, true) => data[a].to_bits() == data[b].to_bits(),
+                (va, vb) => va == vb,
+            },
+            ColVec::Shared { data, start } => {
+                data[start + a].map(f64::to_bits) == data[start + b].map(f64::to_bits)
+            }
+        }
+    }
+
     /// Actual bytes this column occupies for `len` rows — the real
     /// footprint (strings priced at header + payload), not the old flat
     /// 8-bytes-per-cell guess.
@@ -141,6 +170,7 @@ impl ColVec {
                     + validity.as_ref().map_or(0, |b| 8 * b.len() as u64)
             }
             ColVec::Shared { .. } => 16 * len as u64,
+            ColVec::Summary(_) => std::mem::size_of::<NumAgg>() as u64,
         }
     }
 }
@@ -155,14 +185,16 @@ pub struct ColumnBatch {
     /// `(min, max)` row timestamp when the producer knows it (sealed
     /// batches do) — lets LAST scan batches newest-first and stop early.
     pub ts_range: Option<(i64, i64)>,
+    /// A summary batch: `len` rows, all inside one bucket of the scan's
+    /// [`crate::provider::SummaryGrain`] and inside the filters' exact
+    /// range (`ts_range` locates them), folded ahead of time. Its
+    /// requested F64 columns are [`ColVec::Summary`]; nothing else is
+    /// materialized, so only the aggregates the summary request allows
+    /// may read it.
+    pub summary: bool,
 }
 
 impl ColumnBatch {
-    /// The full selection vector `0..len`.
-    pub fn full_selection(&self) -> Vec<u32> {
-        (0..self.len as u32).collect()
-    }
-
     /// Pivot one row back to datums (final result boundary only).
     pub fn row_datums(&self, i: usize) -> Vec<Datum> {
         self.cols.iter().zip(&self.dtypes).map(|(c, &dt)| c.datum(i, dt)).collect()
@@ -276,10 +308,18 @@ pub struct NumAgg {
     pub max: f64,
 }
 
-/// Fold the selected cells of `col`. Returns `None` when the column is
-/// not numeric (the executor falls back to its datum loop).
-pub fn numeric_agg(col: &ColVec, sel: &[u32]) -> Option<NumAgg> {
-    let mut acc = NumAgg { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY };
+impl NumAgg {
+    /// The fold of no values, continuing a running `sum`.
+    pub fn after(sum: f64) -> NumAgg {
+        NumAgg { count: 0, sum, min: f64::INFINITY, max: f64::NEG_INFINITY }
+    }
+}
+
+/// Fold the selected cells of `col` into `acc`, value by value, so that
+/// a running sum adds in row order exactly as the row path does. Returns
+/// `None` when the column is not numeric (the executor falls back to its
+/// datum loop).
+pub fn numeric_agg(col: &ColVec, sel: &[u32], mut acc: NumAgg) -> Option<NumAgg> {
     #[inline]
     fn fold(acc: &mut NumAgg, v: f64) {
         acc.count += 1;
@@ -320,12 +360,19 @@ pub fn numeric_agg(col: &ColVec, sel: &[u32]) -> Option<NumAgg> {
             }
         }
         ColVec::ConstI64(v) => {
-            acc.count = sel.len() as i64;
-            acc.sum = *v as f64 * sel.len() as f64;
+            acc.count += sel.len() as i64;
+            acc.sum += *v as f64 * sel.len() as f64;
             if !sel.is_empty() {
-                acc.min = *v as f64;
-                acc.max = *v as f64;
+                acc.min = acc.min.min(*v as f64);
+                acc.max = acc.max.max(*v as f64);
             }
+        }
+        // A summary stands for every row of its batch at once.
+        ColVec::Summary(n) => {
+            acc.count += n.count;
+            acc.sum += n.sum;
+            acc.min = acc.min.min(n.min);
+            acc.max = acc.max.max(n.max);
         }
         ColVec::Absent | ColVec::Str { .. } => return None,
     }
@@ -340,6 +387,7 @@ pub fn count_valid(col: &ColVec, sel: &[u32]) -> i64 {
         ColVec::Shared { data, start } => {
             sel.iter().filter(|&&i| data[*start + i as usize].is_some()).count() as i64
         }
+        ColVec::Summary(n) => n.count,
         ColVec::I64 { validity, .. }
         | ColVec::F64 { validity, .. }
         | ColVec::Str { validity, .. } => match validity {
@@ -400,7 +448,7 @@ mod tests {
     #[test]
     fn numeric_agg_folds_selected_rows_only() {
         let col = ColVec::F64 { data: vec![1.0, 2.0, 30.0, 4.0], validity: None };
-        let a = numeric_agg(&col, &[0, 1, 3]).unwrap();
+        let a = numeric_agg(&col, &[0, 1, 3], NumAgg::after(0.0)).unwrap();
         assert_eq!(a.count, 3);
         assert_eq!(a.sum, 7.0);
         assert_eq!(a.min, 1.0);

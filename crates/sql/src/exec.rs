@@ -6,21 +6,22 @@
 //! the new table). Residual predicates run as soon as their bindings are
 //! bound; aggregates, ORDER BY, and LIMIT finish the pipeline.
 //!
-//! Single-table aggregate shapes get two faster routes, tried in order:
-//! native pushdown (`bucket_scan` / `aggregate_scan`, answered from
-//! seal-time summaries), then the *vectorized* path — the provider hands
-//! back typed [`crate::column::ColumnBatch`]es, residual predicates run
-//! as selection-vector kernels, and aggregates fold columns directly with
-//! no per-row [`Row`] materialization. The row pivot happens only at the
-//! final result boundary. ASOF JOIN and multi-table joins stay on the
-//! row pipeline.
+//! Single-table aggregate shapes take the *vectorized* path: the provider
+//! hands back typed [`crate::column::ColumnBatch`]es, residual predicates
+//! run as selection-vector kernels, and aggregates fold columns directly
+//! with no per-row [`Row`] materialization. When the plan allows it
+//! ([`ScanRequest::summaries`]), a batch may arrive as its seal-time
+//! summary instead of its rows, and folds through the same kernels. The
+//! row pivot happens only at the final result boundary. ASOF JOIN,
+//! multi-table joins and pure projections stay on the row pipeline, which
+//! is also the reference the vectorized path is tested against.
 
 use crate::ast::{AggFunc, CmpOp};
 use crate::column::{
-    count_valid, datum_bytes, filter_cmp, numeric_agg, CmpKernel, ColVec, ColumnBatch,
+    count_valid, datum_bytes, filter_cmp, numeric_agg, CmpKernel, ColVec, ColumnBatch, NumAgg,
 };
 use crate::planner::{AsofSpec, ColRef, OutputItem, Plan, ROperand, RPred};
-use crate::provider::{AggRequest, ColumnFilter, ScanRequest};
+use crate::provider::{ColumnFilter, ScanRequest, SummaryGrain};
 use odh_types::{DataType, Datum, OdhError, Result, Row, Timestamp};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -61,13 +62,12 @@ pub struct OpStats {
 #[derive(Debug, Clone, Default)]
 pub struct ExecProfile {
     pub ops: Vec<OpStats>,
-    /// Whether the aggregate fast path answered the query natively.
-    pub used_aggregate_pushdown: bool,
     /// Whether the vectorized columnar path executed the query.
     pub used_vectorized: bool,
     /// Column batches the vectorized path consumed.
     pub vectorized_batches: u64,
-    /// Rows entering the vectorized residual filters.
+    /// Rows the vectorized path consumed (a summary batch counts the rows
+    /// it stands for).
     pub vectorized_rows_in: u64,
     /// Rows surviving the selection vectors (fed to the aggregate kernels).
     pub vectorized_rows_selected: u64,
@@ -118,16 +118,17 @@ fn approx_row_bytes(r: &Row) -> u64 {
     r.cells().iter().map(datum_bytes).sum()
 }
 
-/// Run an optimized plan.
-pub fn execute(plan: &Plan) -> Result<QueryResult> {
-    execute_profiled(plan).map(|(r, _)| r)
+/// Run an optimized plan; `vectorized` enables the columnar path for the
+/// shapes it handles (off: everything runs on the row pipeline).
+pub fn execute(plan: &Plan, vectorized: bool) -> Result<QueryResult> {
+    execute_profiled(plan, vectorized).map(|(r, _)| r)
 }
 
 /// Run an optimized plan, recording per-operator row/byte/time stats.
-pub fn execute_profiled(plan: &Plan) -> Result<(QueryResult, ExecProfile)> {
+pub fn execute_profiled(plan: &Plan, vectorized: bool) -> Result<(QueryResult, ExecProfile)> {
     let total = std::time::Instant::now();
     let mut prof = ExecProfile::default();
-    let result = run(plan, &mut prof)?;
+    let result = run(plan, vectorized, &mut prof)?;
     prof.exec_nanos = total.elapsed().as_nanos() as u64;
     Ok((result, prof))
 }
@@ -143,86 +144,13 @@ fn output_columns(plan: &Plan) -> Vec<String> {
         .collect()
 }
 
-fn run(plan: &Plan, prof: &mut ExecProfile) -> Result<QueryResult> {
+fn run(plan: &Plan, vectorized: bool, prof: &mut ExecProfile) -> Result<QueryResult> {
     let order = &plan.join_order;
     let first = order[0];
 
-    // Bucket pushdown: `GROUP BY time_bucket(...)` with summary-answerable
-    // aggregates goes straight to the provider, which merges seal-time
-    // summaries per bucket (decoding only batches that straddle a bucket
-    // boundary).
-    if let Some(aggs) = bucket_pushdown_request(plan).filter(|_| aggregate_pushdown_enabled()) {
-        let started = std::time::Instant::now();
-        let b = plan.bucket.expect("bucket_pushdown_request requires a bucket");
-        if let Some(buckets) = plan.bindings[first]
-            .provider
-            .bucket_scan(&plan.pushdown[first], b.col.column, b.interval_us, &aggs)
-            .transpose()?
-        {
-            let dtype = plan.bindings[first].provider.schema().columns[b.col.column].dtype;
-            let n_buckets = buckets.len();
-            let mut rows = Vec::with_capacity(n_buckets);
-            for (start, aggs_cells) in buckets {
-                let mut cells = Vec::with_capacity(plan.output.len());
-                let mut agg_i = 0usize;
-                for o in &plan.output {
-                    match o {
-                        OutputItem::Bucket { .. } => cells.push(bucket_key_datum(start, dtype)),
-                        OutputItem::Agg { .. } => {
-                            cells.push(aggs_cells[agg_i].clone());
-                            agg_i += 1;
-                        }
-                        OutputItem::Col { .. } => unreachable!("bucket pushdown excludes columns"),
-                    }
-                }
-                rows.push(Row::new(cells));
-            }
-            if b.gapfill {
-                rows = gap_fill_rows(plan, rows)?;
-            }
-            if let Some(limit) = plan.limit {
-                rows.truncate(limit);
-            }
-            prof.used_aggregate_pushdown = true;
-            prof.note_ext(
-                format!("bucket_pushdown {}", plan.bindings[first].provider.name()),
-                &rows,
-                started,
-                format!("buckets={n_buckets}"),
-            );
-            return Ok(QueryResult { columns: output_columns(plan), rows });
-        }
-    }
-
-    // Aggregate pushdown: a single-table, aggregate-only query whose WHERE
-    // clause is fully absorbed by the pushed filters can be answered by the
-    // provider's native aggregate path (batch summaries for ODH virtual
-    // tables) — no rows materialize, no per-cell assembly.
-    if let Some(aggs) = aggregate_pushdown_request(plan).filter(|_| aggregate_pushdown_enabled()) {
-        let started = std::time::Instant::now();
-        if let Some(cells) = plan.bindings[first]
-            .provider
-            .aggregate_scan(&plan.pushdown[first], &aggs)
-            .transpose()?
-        {
-            let columns = output_columns(plan);
-            let mut rows = vec![Row::new(cells)];
-            if let Some(limit) = plan.limit {
-                rows.truncate(limit);
-            }
-            prof.used_aggregate_pushdown = true;
-            prof.note(
-                format!("aggregate_pushdown {}", plan.bindings[first].provider.name()),
-                &rows,
-                started,
-            );
-            return Ok(QueryResult { columns, rows });
-        }
-    }
-
     // Vectorized columnar path: single-table aggregate shapes fold typed
     // column batches directly — no Row materialization until the result.
-    if vectorized_enabled() {
+    if vectorized {
         if let Some(result) = try_vectorized(plan, prof)? {
             return Ok(result);
         }
@@ -235,9 +163,7 @@ fn run(plan: &Plan, prof: &mut ExecProfile) -> Result<QueryResult> {
 
     // Scan the first table.
     let scan_started = std::time::Instant::now();
-    let req =
-        ScanRequest { filters: plan.pushdown[first].clone(), needed: plan.needed[first].clone() };
-    let scanned = plan.bindings[first].provider.scan(&req)?;
+    let scanned = plan.bindings[first].provider.scan(&scan_request(plan, first))?;
     let mut current: Vec<Row> = Vec::with_capacity(scanned.len());
     let base = offset_of(first);
     for r in scanned {
@@ -300,12 +226,8 @@ fn run(plan: &Plan, prof: &mut ExecProfile) -> Result<QueryResult> {
                     }
                 } else {
                     // Hash join: build on the new table.
-                    let req = ScanRequest {
-                        filters: plan.pushdown[b].clone(),
-                        needed: plan.needed[b].clone(),
-                    };
                     let mut table: HashMap<Datum, Vec<Row>> = HashMap::new();
-                    for r in provider.scan(&req)? {
+                    for r in provider.scan(&scan_request(plan, b))? {
                         let k = r.get(col.column).clone();
                         if !k.is_null() {
                             table.entry(k).or_default().push(r);
@@ -323,11 +245,7 @@ fn run(plan: &Plan, prof: &mut ExecProfile) -> Result<QueryResult> {
             }
             None => {
                 // Cartesian product (no join edge).
-                let req = ScanRequest {
-                    filters: plan.pushdown[b].clone(),
-                    needed: plan.needed[b].clone(),
-                };
-                let rows_b = provider.scan(&req)?;
+                let rows_b = provider.scan(&scan_request(plan, b))?;
                 for row in &current {
                     for m in &rows_b {
                         next.push(splice(row, m, b_off));
@@ -342,6 +260,16 @@ fn run(plan: &Plan, prof: &mut ExecProfile) -> Result<QueryResult> {
     }
 
     finish(plan, prof, current)
+}
+
+/// The scan request for binding `b`: its pushed filters and needed
+/// columns, rows only.
+pub(crate) fn scan_request(plan: &Plan, b: usize) -> ScanRequest {
+    ScanRequest {
+        filters: plan.pushdown[b].clone(),
+        needed: plan.needed[b].clone(),
+        summaries: None,
+    }
 }
 
 /// Shared pipeline tail: aggregate or project, then ORDER BY and LIMIT.
@@ -406,104 +334,31 @@ fn order_aggregate_output(plan: &Plan, mut rows: Vec<Row>) -> Result<Vec<Row>> {
     Ok(rows)
 }
 
-/// Process-wide ablation switch for the aggregate fast path. On by
-/// default; benches flip it off to measure what summary pushdown saves
-/// (the row path gives identical answers, just by decoding blobs).
-static AGG_PUSHDOWN_ENABLED: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(true);
-
-/// Enable or disable aggregate pushdown process-wide (ablation knob —
-/// not meant for concurrent toggling while queries run).
-pub fn set_aggregate_pushdown(enabled: bool) {
-    AGG_PUSHDOWN_ENABLED.store(enabled, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Whether the aggregate fast path is currently enabled.
-pub fn aggregate_pushdown_enabled() -> bool {
-    AGG_PUSHDOWN_ENABLED.load(std::sync::atomic::Ordering::SeqCst)
-}
-
-/// Process-wide ablation switch for the vectorized columnar path. On by
-/// default; benches flip it off to measure row-at-a-time execution.
-static VECTORIZED_ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Enable or disable vectorized execution process-wide (ablation knob —
-/// not meant for concurrent toggling while queries run).
-pub fn set_vectorized(enabled: bool) {
-    VECTORIZED_ENABLED.store(enabled, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Whether the vectorized columnar path is currently enabled.
-pub fn vectorized_enabled() -> bool {
-    VECTORIZED_ENABLED.load(std::sync::atomic::Ordering::SeqCst)
-}
-
-/// The aggregate-pushdown request for a plan whose *shape* allows a native
-/// answer: exactly one table, no GROUP BY, aggregate-only outputs, and
-/// every residual predicate already implied by a pushed filter (so no row
-/// the provider aggregates was meant to be dropped). `None` otherwise.
-/// Whether the provider actually accepts is its own decision.
-pub(crate) fn aggregate_pushdown_request(plan: &Plan) -> Option<Vec<AggRequest>> {
-    if plan.bindings.len() != 1
-        || !plan.group_by.is_empty()
-        || plan.output.is_empty()
-        || plan.bucket.is_some()
-        || plan.asof.is_some()
-    {
+/// The grain at which stored summaries may stand in for rows, when the
+/// plan's shape allows it: one table, no ASOF and no GROUP BY column,
+/// outputs only the bucket and mergeable aggregates (not LAST, which
+/// needs the newest row) over `COUNT(*)` or F64 columns, and every
+/// residual implied by a pushed filter — a summary leaves no rows to
+/// re-check. Whether a batch is summarized is the provider's decision.
+fn summary_grain(plan: &Plan) -> Option<SummaryGrain> {
+    if plan.bindings.len() != 1 || !plan.group_by.is_empty() || plan.asof.is_some() {
         return None;
     }
-    let aggs: Option<Vec<AggRequest>> = plan
-        .output
-        .iter()
-        .map(|o| match o {
-            // LAST needs the actual newest row, not a mergeable summary —
-            // providers can't answer it from aggregates.
-            OutputItem::Agg { func: AggFunc::Last, .. } => None,
-            OutputItem::Agg { func, input, .. } => {
-                Some(AggRequest { func: *func, input: input.map(|c| c.column) })
-            }
-            OutputItem::Col { .. } | OutputItem::Bucket { .. } => None,
-        })
-        .collect();
-    let aggs = aggs?;
-    if plan.residual.iter().all(|p| residual_absorbed(plan, p)) {
-        Some(aggs)
-    } else {
-        None
-    }
-}
-
-/// Like [`aggregate_pushdown_request`] but for `GROUP BY time_bucket(...)`
-/// shapes: one table, no other grouping, outputs only the bucket and
-/// summary-mergeable aggregates, WHERE fully absorbed by pushed filters.
-pub(crate) fn bucket_pushdown_request(plan: &Plan) -> Option<Vec<AggRequest>> {
-    plan.bucket?;
-    if plan.bindings.len() != 1
-        || !plan.group_by.is_empty()
-        || plan.output.is_empty()
-        || plan.asof.is_some()
-    {
-        return None;
-    }
-    let mut aggs = Vec::new();
-    for o in &plan.output {
-        match o {
-            OutputItem::Bucket { .. } => {}
-            OutputItem::Agg { func: AggFunc::Last, .. } => return None,
-            OutputItem::Agg { func, input, .. } => {
-                aggs.push(AggRequest { func: *func, input: input.map(|c| c.column) });
-            }
-            OutputItem::Col { .. } => return None,
+    let schema = plan.bindings[0].provider.schema();
+    let mergeable = plan.output.iter().all(|o| match o {
+        OutputItem::Bucket { .. } => true,
+        OutputItem::Agg { func: AggFunc::Last, .. } | OutputItem::Col { .. } => false,
+        OutputItem::Agg { input, .. } => {
+            input.is_none_or(|c| schema.columns[c.column].dtype == DataType::F64)
         }
-    }
-    if aggs.is_empty() {
+    });
+    if !mergeable || !plan.residual.iter().all(|p| residual_absorbed(plan, p)) {
         return None;
     }
-    if plan.residual.iter().all(|p| residual_absorbed(plan, p)) {
-        Some(aggs)
-    } else {
-        None
-    }
+    Some(match plan.bucket {
+        Some(b) => SummaryGrain::Bucket { column: b.col.column, width: b.interval_us },
+        None => SummaryGrain::Whole,
+    })
 }
 
 /// Is `p` guaranteed by the pushed filters on its column, making its
@@ -965,8 +820,7 @@ fn gap_fill_rows(plan: &Plan, rows: Vec<Row>) -> Result<Vec<Row>> {
 /// strict) the left row's `left_ts`, within the optional equality
 /// partition. Unmatched left rows keep their NULL right cells.
 fn asof_join(plan: &Plan, spec: AsofSpec, current: Vec<Row>) -> Result<Vec<Row>> {
-    let req = ScanRequest { filters: plan.pushdown[1].clone(), needed: plan.needed[1].clone() };
-    let right_rows = plan.bindings[1].provider.scan(&req)?;
+    let right_rows = plan.bindings[1].provider.scan(&scan_request(plan, 1))?;
     let right_off = plan.bindings[0].provider.schema().arity();
     let r_eq_col = spec.eq.map(|(_, r)| r.column);
     // Partition → (ts, arrival index), sorted so ties at equal ts resolve
@@ -1114,10 +968,10 @@ fn update_global(states: &mut [AggState], specs: &[AggSpec], batch: &ColumnBatch
         let dtype = batch.dtypes[c];
         match spec.func {
             AggFunc::Count => st.count += count_valid(col, sel).max(0) as u64,
-            AggFunc::Sum | AggFunc::Avg => match numeric_agg(col, sel) {
+            AggFunc::Sum | AggFunc::Avg => match numeric_agg(col, sel, NumAgg::after(st.sum)) {
                 Some(n) => {
                     st.count += n.count.max(0) as u64;
-                    st.sum += n.sum;
+                    st.sum = n.sum;
                 }
                 None => fold_datums(st, spec, batch, sel),
             },
@@ -1126,10 +980,10 @@ fn update_global(states: &mut [AggState], specs: &[AggSpec], batch: &ColumnBatch
             AggFunc::Min | AggFunc::Max
                 if dtype == DataType::F64 || matches!(col, ColVec::Shared { .. }) =>
             {
-                match numeric_agg(col, sel) {
+                match numeric_agg(col, sel, NumAgg::after(st.sum)) {
                     Some(n) if n.count > 0 => {
                         st.count += n.count as u64;
-                        st.sum += n.sum;
+                        st.sum = n.sum;
                         let lo = Datum::F64(n.min);
                         if st.min.as_ref().is_none_or(|m| lo.sql_cmp(m) == Some(Ordering::Less)) {
                             st.min = Some(lo);
@@ -1150,7 +1004,10 @@ fn update_global(states: &mut [AggState], specs: &[AggSpec], batch: &ColumnBatch
 }
 
 /// Vectorized grouped accumulation (bucket and/or GROUP BY keys) over the
-/// selected rows of one batch.
+/// selected rows of one batch. The selection splits into runs of rows
+/// with equal keys, compared in place (the bucket as an `i64`), and each
+/// run folds through [`update_global`]; a key is built only where a run
+/// starts. A summary batch is a single run, bucketed by its time range.
 fn accumulate_selected(
     groups: &mut HashMap<Vec<Datum>, Vec<AggState>>,
     specs: &[AggSpec],
@@ -1159,34 +1016,43 @@ fn accumulate_selected(
     bucket: Option<(usize, i64, DataType)>,
     group_cols: &[usize],
 ) {
-    for &i in sel {
-        let i = i as usize;
+    // Bucket start of row `i`; `None` for a NULL timestamp (or no bucket).
+    let bucket_at = |i: usize| -> Option<i64> {
+        let (c, interval, _) = bucket?;
+        let v =
+            if batch.summary { batch.ts_range.map(|(lo, _)| lo) } else { batch.cols[c].i64_at(i) };
+        v.map(|v| v.div_euclid(interval) * interval)
+    };
+    let mut start = 0;
+    while start < sel.len() {
+        let first = sel[start] as usize;
+        let b = bucket_at(first);
+        // The run's bucket as a range, so its rows cost a compare, not a
+        // division (an edge that saturates only splits a run).
+        let in_bucket = |i: usize| match (bucket, b) {
+            (Some((c, interval, _)), Some(lo)) => {
+                batch.cols[c].i64_at(i).is_some_and(|v| v >= lo && v < lo.saturating_add(interval))
+            }
+            (Some((c, ..)), None) => batch.cols[c].i64_at(i).is_none(),
+            (None, _) => true,
+        };
+        let mut end = if batch.summary { sel.len() } else { start + 1 };
+        while end < sel.len() {
+            let i = sel[end] as usize;
+            if !in_bucket(i) || !group_cols.iter().all(|&g| batch.cols[g].same(first, i)) {
+                break;
+            }
+            end += 1;
+        }
         let mut key = Vec::with_capacity(group_cols.len() + usize::from(bucket.is_some()));
-        if let Some((c, interval, dtype)) = bucket {
-            key.push(match batch.cols[c].i64_at(i) {
-                Some(v) => bucket_key_datum(v.div_euclid(interval) * interval, dtype),
-                None => Datum::Null,
-            });
+        if let Some((.., dtype)) = bucket {
+            key.push(b.map_or(Datum::Null, |lo| bucket_key_datum(lo, dtype)));
         }
-        for &g in group_cols {
-            key.push(batch.cols[g].datum(i, batch.dtypes[g]));
-        }
+        key.extend(group_cols.iter().map(|&g| batch.cols[g].datum(first, batch.dtypes[g])));
         let states =
             groups.entry(key).or_insert_with(|| specs.iter().map(|_| AggState::new()).collect());
-        for (st, spec) in states.iter_mut().zip(specs) {
-            let d = match spec.input {
-                None => Datum::I64(1), // COUNT(*)
-                Some(c) => {
-                    let d = batch.cols[c].datum(i, batch.dtypes[c]);
-                    if d.is_null() {
-                        continue;
-                    }
-                    d
-                }
-            };
-            let at = spec.last_at.map(|(ts_c, id_c)| batch_last_key(batch, ts_c, id_c, i));
-            st.observe(d, at);
-        }
+        update_global(states, specs, batch, &sel[start..end]);
+        start = end;
     }
 }
 
@@ -1203,7 +1069,7 @@ fn try_vectorized(plan: &Plan, prof: &mut ExecProfile) -> Result<Option<QueryRes
     }
     let provider = &plan.bindings[0].provider;
     let started = std::time::Instant::now();
-    let req = ScanRequest { filters: plan.pushdown[0].clone(), needed: plan.needed[0].clone() };
+    let req = ScanRequest { summaries: summary_grain(plan), ..scan_request(plan, 0) };
     let Some(scan) = provider.scan_columnar(&req).transpose()? else {
         return Ok(None);
     };
@@ -1226,6 +1092,7 @@ fn try_vectorized(plan: &Plan, prof: &mut ExecProfile) -> Result<Option<QueryRes
     let mut groups: HashMap<Vec<Datum>, Vec<AggState>> = HashMap::new();
     let mut global_states: Vec<AggState> = specs.iter().map(|_| AggState::new()).collect();
     let (mut n_batches, mut rows_in, mut rows_sel) = (0u64, 0u64, 0u64);
+    let mut sel: Vec<u32> = Vec::new(); // the selection vector, reused per batch
     for batch in &batches {
         if global && all_last {
             if let Some((_, hi)) = batch.ts_range {
@@ -1239,8 +1106,12 @@ fn try_vectorized(plan: &Plan, prof: &mut ExecProfile) -> Result<Option<QueryRes
         }
         n_batches += 1;
         rows_in += batch.len as u64;
-        let mut sel = batch.full_selection();
-        for p in &plan.residual {
+        sel.clear();
+        sel.extend(0..batch.len as u32);
+        // A summary batch needs no re-check: summaries are requested only
+        // when the pushed filters imply every residual, and stand only
+        // for batches inside the filters' exact range.
+        for p in plan.residual.iter().filter(|_| !batch.summary) {
             apply_residual_vec(p, batch, &mut sel);
             if sel.is_empty() {
                 break;
@@ -1456,14 +1327,16 @@ mod tests {
         assert_eq!(r.rows.len(), 90);
     }
 
-    /// A MemTable wrapper with a native COUNT path, to observe when the
-    /// executor takes the aggregate pushdown.
-    struct NativeCount {
+    /// A MemTable that answers with summary batches whenever the executor
+    /// allows them: one per grain bucket of its matching rows, folding
+    /// every F64 column (its filters are exact, so any batch qualifies).
+    /// Records the grain of each columnar request.
+    struct Summarizing {
         inner: Arc<MemTable>,
-        calls: std::sync::atomic::AtomicUsize,
+        grains: std::sync::Mutex<Vec<Option<SummaryGrain>>>,
     }
 
-    impl TableProvider for NativeCount {
+    impl TableProvider for Summarizing {
         fn name(&self) -> &str {
             self.inner.name()
         }
@@ -1479,63 +1352,110 @@ mod tests {
         fn scan(&self, r: &ScanRequest) -> Result<Vec<Row>> {
             self.inner.scan(r)
         }
-        fn aggregate_scan(
-            &self,
-            filters: &[(usize, ColumnFilter)],
-            aggs: &[AggRequest],
-        ) -> Option<Result<Vec<Datum>>> {
-            if aggs.iter().any(|a| a.input.is_some() || a.func != AggFunc::Count) {
-                return None;
+        fn scan_columnar(&self, r: &ScanRequest) -> Option<Result<crate::ColumnarScan>> {
+            self.grains.lock().unwrap().push(r.summaries);
+            let Some(grain) = r.summaries else { return self.inner.scan_columnar(r) };
+            let (ts_col, width) = match grain {
+                SummaryGrain::Whole => (1, i64::MAX),
+                SummaryGrain::Bucket { column, width } => (column, width),
+            };
+            let mut buckets: std::collections::BTreeMap<i64, Vec<Row>> = Default::default();
+            for row in self.inner.scan(r).unwrap() {
+                let t = row_key_i64(row.get(ts_col)).unwrap();
+                buckets.entry(t.div_euclid(width)).or_default().push(row);
             }
-            self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let req = ScanRequest { filters: filters.to_vec(), needed: vec![] };
-            Some(
-                self.inner
-                    .scan(&req)
-                    .map(|rows| aggs.iter().map(|_| Datum::I64(rows.len() as i64)).collect()),
-            )
+            let dtypes: Vec<DataType> = self.schema().columns.iter().map(|c| c.dtype).collect();
+            let batches = buckets
+                .into_values()
+                .map(|rows| {
+                    let ts: Vec<i64> =
+                        rows.iter().map(|row| row_key_i64(row.get(ts_col)).unwrap()).collect();
+                    let cols = (0..dtypes.len())
+                        .map(|c| {
+                            if dtypes[c] != DataType::F64 {
+                                return ColVec::Absent;
+                            }
+                            let vals: Vec<f64> =
+                                rows.iter().filter_map(|row| row.get(c).as_f64()).collect();
+                            ColVec::Summary(NumAgg {
+                                count: vals.len() as i64,
+                                sum: vals.iter().sum(),
+                                min: vals.iter().copied().fold(f64::INFINITY, f64::min),
+                                max: vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                            })
+                        })
+                        .collect();
+                    ColumnBatch {
+                        len: rows.len(),
+                        dtypes: dtypes.clone(),
+                        cols,
+                        ts_range: Some((ts[0], *ts.iter().max().unwrap())),
+                        summary: true,
+                    }
+                })
+                .collect();
+            Some(Ok(crate::ColumnarScan { batches }))
         }
     }
 
     #[test]
-    fn count_pushdown_used_only_when_where_fully_absorbed() {
-        use std::sync::atomic::Ordering::Relaxed;
+    fn summaries_requested_only_when_where_fully_absorbed() {
         let e = SqlEngine::new();
-        let inner =
-            MemTable::new(RelSchema::new("t", [("k", DataType::I64), ("v", DataType::F64)]));
+        let row_engine = SqlEngine::new();
+        row_engine.set_vectorized(false);
+        let schema =
+            RelSchema::new("t", [("k", DataType::I64), ("ts", DataType::Ts), ("v", DataType::F64)]);
+        let inner = MemTable::new(schema.clone());
+        let plain = MemTable::new(schema);
         for i in 0..100i64 {
-            inner.insert(Row::new(vec![Datum::I64(i % 10), Datum::F64(i as f64)]));
+            let v = if i % 7 == 0 { Datum::Null } else { Datum::F64(i as f64 * 0.5) };
+            let row = Row::new(vec![Datum::I64(i % 10), Datum::Ts(Timestamp(i * 1_000)), v]);
+            inner.insert(row.clone());
+            plain.insert(row);
         }
-        let native = Arc::new(NativeCount { inner, calls: std::sync::atomic::AtomicUsize::new(0) });
+        let native = Arc::new(Summarizing { inner, grains: Default::default() });
         e.register(native.clone());
-        let r = e.query("select COUNT(*) from t where k = 3").unwrap();
-        assert_eq!(r.rows[0].get(0), &Datum::I64(10));
-        assert_eq!(r.columns, vec!["COUNT(*)"]);
-        assert_eq!(native.calls.load(Relaxed), 1, "answered natively");
-        // `<>` can't be expressed as a pushed filter, so its residual
-        // blocks the pushdown — the row path must run.
-        let r = e.query("select COUNT(*) from t where k <> 3").unwrap();
-        assert_eq!(r.rows[0].get(0), &Datum::I64(90));
-        assert_eq!(native.calls.load(Relaxed), 1, "fell back to the row path");
-        // Range residuals are absorbed bound-exactly.
-        let r = e.query("select COUNT(*) from t where k > 3 and k <= 7").unwrap();
-        assert_eq!(r.rows[0].get(0), &Datum::I64(40));
-        assert_eq!(native.calls.load(Relaxed), 2);
-        // GROUP BY and declined functions (SUM here) use the row path,
-        // and both agree with the pushdown-free engine.
-        let r = e.query("select k, COUNT(*) from t group by k order by k").unwrap();
-        assert_eq!(r.rows.len(), 10);
-        let r = e.query("select SUM(v) from t where k = 3").unwrap();
-        // v ∈ {3, 13, …, 93} where k == 3.
-        assert_eq!(
-            r.rows[0].get(0).as_f64().unwrap(),
-            (0..10).map(|j| 3.0 + j as f64 * 10.0).sum::<f64>()
-        );
-        assert_eq!(native.calls.load(Relaxed), 2, "SUM declined natively");
+        row_engine.register(plain);
+        let bucket = SummaryGrain::Bucket { column: 1, width: 16_000 };
+        for (q, grain) in [
+            ("select COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v) from t where k = 3", {
+                Some(SummaryGrain::Whole)
+            }),
+            // Range residuals are absorbed bound-exactly.
+            ("select COUNT(*), SUM(v) from t where k > 3 and k <= 7", Some(SummaryGrain::Whole)),
+            (
+                "select time_bucket(16000, ts), COUNT(*), AVG(v) from t \
+                 group by time_bucket(16000, ts)",
+                Some(bucket),
+            ),
+            (
+                "select time_bucket_gapfill(16000, ts), MAX(v) from t where k = 1 \
+                 group by time_bucket_gapfill(16000, ts)",
+                Some(bucket),
+            ),
+            // `<>` cannot be pushed, so its residual must run on rows.
+            ("select COUNT(*) from t where k <> 3", None),
+            // GROUP BY columns, LAST and non-F64 inputs need rows too.
+            ("select k, COUNT(*) from t group by k", None),
+            ("select LAST(v) from t", None),
+            ("select MIN(k) from t", None),
+        ] {
+            native.grains.lock().unwrap().clear();
+            let got = e.query(q).unwrap();
+            assert_eq!(*native.grains.lock().unwrap(), vec![grain], "{q}");
+            let want = row_engine.query(q).unwrap();
+            assert_eq!(got.columns, want.columns, "{q}");
+            assert_eq!(got.rows.len(), want.rows.len(), "{q}");
+            for (g, w) in got.rows.iter().zip(&want.rows) {
+                for (x, y) in g.cells().iter().zip(w.cells()) {
+                    match (x.as_f64(), y.as_f64()) {
+                        (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{q}: {g:?} {w:?}"),
+                        _ => assert_eq!(x, y, "{q}"),
+                    }
+                }
+            }
+        }
     }
-
-    /// Serializes tests that flip the process-wide vectorized toggle.
-    static VEC_TOGGLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn time_bucket_groups_rows() {
@@ -1633,7 +1553,6 @@ mod tests {
 
     #[test]
     fn vectorized_and_row_paths_agree() {
-        let _g = VEC_TOGGLE.lock().unwrap();
         let e = engine();
         let queries = [
             "select COUNT(*), SUM(t_chrg), MIN(t_chrg), MAX(t_chrg), AVG(t_chrg) from trade \
@@ -1644,11 +1563,10 @@ mod tests {
             "select LAST(t_chrg) from trade where t_ca_id = 7",
         ];
         for q in queries {
-            set_vectorized(true);
+            e.set_vectorized(true);
             let (vec_res, _, vec_prof) = e.query_profiled(q).unwrap();
-            set_vectorized(false);
+            e.set_vectorized(false);
             let (row_res, _, row_prof) = e.query_profiled(q).unwrap();
-            set_vectorized(true);
             assert!(vec_prof.used_vectorized, "vectorized path must engage for {q}");
             assert!(!row_prof.used_vectorized);
             assert_eq!(vec_res, row_res, "paths disagree on {q}");
@@ -1657,8 +1575,6 @@ mod tests {
 
     #[test]
     fn vectorized_profile_reports_batches_and_selectivity() {
-        let _g = VEC_TOGGLE.lock().unwrap();
-        set_vectorized(true);
         let e = engine();
         // `<>` can't be pushed down, so it runs as a selection-vector
         // kernel — the profile shows rows entering vs surviving it.

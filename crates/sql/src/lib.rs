@@ -28,7 +28,8 @@
 //!
 //! Execution is vectorized for single-table aggregate shapes: providers
 //! that implement [`provider::TableProvider::scan_columnar`] hand the
-//! executor [`column::ColumnBatch`]es and the residual WHERE clause runs
+//! executor [`column::ColumnBatch`]es — decoded rows, or seal-time
+//! summaries where the plan allows — and the residual WHERE clause runs
 //! as selection-vector kernels (see [`column`]).
 
 pub mod ast;
@@ -44,27 +45,39 @@ pub mod token;
 
 pub use catalog::Catalog;
 pub use column::{ColVec, ColumnBatch};
-pub use exec::{
-    aggregate_pushdown_enabled, set_aggregate_pushdown, set_vectorized, vectorized_enabled,
-    ExecProfile, OpStats, QueryResult,
+pub use exec::{ExecProfile, OpStats, QueryResult};
+pub use provider::{
+    ColumnFilter, ColumnarScan, MemTable, ScanRequest, SummaryGrain, TableProvider,
 };
-pub use provider::{AggRequest, ColumnFilter, ColumnarScan, MemTable, ScanRequest, TableProvider};
 
 use odh_types::Result;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The SQL engine: a catalog plus the parse→plan→optimize→execute pipeline.
 pub struct SqlEngine {
     catalog: Catalog,
+    /// Whether single-table aggregates run vectorized (the default) or on
+    /// the row pipeline — the reference the tests and benches compare to.
+    vectorized: AtomicBool,
 }
 
 impl SqlEngine {
     pub fn new() -> SqlEngine {
-        SqlEngine { catalog: Catalog::new() }
+        SqlEngine { catalog: Catalog::new(), vectorized: AtomicBool::new(true) }
     }
 
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
+    }
+
+    /// Enable or disable vectorized execution for this engine's queries.
+    pub fn set_vectorized(&self, enabled: bool) {
+        self.vectorized.store(enabled, Ordering::Relaxed);
+    }
+
+    fn vectorized(&self) -> bool {
+        self.vectorized.load(Ordering::Relaxed)
     }
 
     /// Register a table (provider) under its schema name.
@@ -77,7 +90,7 @@ impl SqlEngine {
         let stmt = parser::parse(sql)?;
         let plan = planner::plan(&self.catalog, &stmt)?;
         let plan = optimizer::optimize(plan);
-        exec::execute(&plan)
+        exec::execute(&plan, self.vectorized())
     }
 
     /// Plan only (EXPLAIN): returns a human-readable plan description.
@@ -98,7 +111,7 @@ impl SqlEngine {
         let plan = optimizer::optimize(plan);
         let plan_nanos = plan_started.elapsed().as_nanos() as u64;
         let described = plan.describe();
-        let (result, mut profile) = exec::execute_profiled(&plan)?;
+        let (result, mut profile) = exec::execute_profiled(&plan, self.vectorized())?;
         profile.plan_nanos = plan_nanos;
         Ok((result, described, profile))
     }

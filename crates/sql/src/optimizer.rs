@@ -22,19 +22,12 @@
 //! cardinality, so they lose to any connected order.
 
 use crate::planner::{ColRef, Plan};
-use crate::provider::ScanRequest;
 
 /// Pick the cheapest join order and annotate the plan with its cost.
 pub fn optimize(mut plan: Plan) -> Plan {
     let n = plan.bindings.len();
     if n <= 1 {
-        // Single-table aggregate-only plans that qualify for aggregate
-        // pushdown are priced by the provider's native aggregate path:
-        // summary-answered batches cost near zero ValueBlob bytes.
-        let agg_cost = crate::exec::aggregate_pushdown_request(&plan)
-            .filter(|_| crate::exec::aggregate_pushdown_enabled())
-            .and_then(|_| plan.bindings[0].provider.estimate_aggregate_cost(&plan.pushdown[0]));
-        plan.estimated_cost = agg_cost.unwrap_or_else(|| scan_cost(&plan, 0));
+        plan.estimated_cost = scan_cost(&plan, 0);
         return plan;
     }
     // ASOF JOIN fixes the roles: binding 0 is the probe side, binding 1
@@ -71,11 +64,7 @@ fn permute(items: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
 }
 
 fn scan_cost(plan: &Plan, binding: usize) -> f64 {
-    let req = ScanRequest {
-        filters: plan.pushdown[binding].clone(),
-        needed: plan.needed[binding].clone(),
-    };
-    plan.bindings[binding].provider.estimate_cost(&req)
+    plan.bindings[binding].provider.estimate_cost(&crate::exec::scan_request(plan, binding))
 }
 
 fn est_rows(plan: &Plan, binding: usize) -> f64 {

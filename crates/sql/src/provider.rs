@@ -81,12 +81,16 @@ fn tighter(
     }
 }
 
-/// One aggregate a provider is asked to answer natively (aggregate
-/// pushdown): the function plus its input column, `None` for `COUNT(*)`.
+/// The time grain at which a columnar scan may answer a stored batch with
+/// its seal-time summary instead of its rows (see
+/// [`ScanRequest::summaries`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AggRequest {
-    pub func: crate::ast::AggFunc,
-    pub input: Option<usize>,
+pub enum SummaryGrain {
+    /// Any batch wholly inside the filters' range (a global aggregate).
+    Whole,
+    /// A batch wholly inside the filters' range and inside one
+    /// `width`-wide bucket of `column` (`GROUP BY time_bucket`).
+    Bucket { column: usize, width: i64 },
 }
 
 /// What a scan must produce: pushed-down filters plus the set of columns
@@ -97,6 +101,14 @@ pub struct AggRequest {
 pub struct ScanRequest {
     pub filters: Vec<(usize, ColumnFilter)>,
     pub needed: Vec<usize>,
+    /// `Some` when the executor folds summaries: a columnar provider may
+    /// then hand back a whole stored batch as a summary batch
+    /// ([`crate::column::ColumnBatch::summary`]) when the batch lies
+    /// inside the range the filters select *exactly* and inside one
+    /// bucket of the grain. The executor asks only when every residual
+    /// predicate is implied by the filters and every aggregate is
+    /// `COUNT(*)` or `COUNT/SUM/AVG/MIN/MAX` over an F64 column.
+    pub summaries: Option<SummaryGrain>,
 }
 
 impl ScanRequest {
@@ -134,48 +146,9 @@ pub trait TableProvider: Send + Sync {
     /// vectors, so providers may skip row-level filtering entirely (ODH
     /// virtual tables hand out decode-cache column slices as-is, including
     /// rows of other sources in an MG batch). `None` declines and the
-    /// executor stays on the row path.
+    /// executor stays on the row path. Summary batches are optional: a
+    /// provider may ignore [`ScanRequest::summaries`].
     fn scan_columnar(&self, _req: &ScanRequest) -> Option<Result<ColumnarScan>> {
-        None
-    }
-
-    /// Answer `GROUP BY time_bucket(interval_us, col)` aggregates natively:
-    /// one `(bucket start, finalized aggregates)` row per non-empty bucket,
-    /// ascending. Accepting providers must honor `filters` exactly (as with
-    /// [`TableProvider::aggregate_scan`]); ODH virtual tables merge
-    /// seal-time summaries of batches that fall wholly inside one bucket
-    /// and decode only bucket-straddling batches. `None` declines.
-    fn bucket_scan(
-        &self,
-        _filters: &[(usize, ColumnFilter)],
-        _bucket_col: usize,
-        _interval_us: i64,
-        _aggs: &[AggRequest],
-    ) -> Option<Result<Vec<(i64, Vec<Datum>)>>> {
-        None
-    }
-
-    /// Answer `aggs` natively under `filters`, without materializing rows.
-    ///
-    /// `None` declines — the executor falls back to scan + fold. A provider
-    /// that accepts must honor `filters` *exactly* (no over-returning: there
-    /// are no rows left for the executor to re-check) and finalize with SQL
-    /// semantics: `COUNT` never NULL, `SUM/AVG/MIN/MAX` NULL over zero
-    /// non-NULL inputs. ODH virtual tables answer these from seal-time
-    /// batch summaries, decoding only range-boundary batches.
-    fn aggregate_scan(
-        &self,
-        _filters: &[(usize, ColumnFilter)],
-        _aggs: &[AggRequest],
-    ) -> Option<Result<Vec<Datum>>> {
-        None
-    }
-
-    /// Expected bytes touched by a native [`TableProvider::aggregate_scan`]
-    /// under `filters`, when the provider would accept them. The optimizer
-    /// uses this in place of [`TableProvider::estimate_cost`] for
-    /// aggregate-only plans — summary-answered batches cost near zero.
-    fn estimate_aggregate_cost(&self, _filters: &[(usize, ColumnFilter)]) -> Option<f64> {
         None
     }
 
@@ -365,7 +338,13 @@ impl TableProvider for MemTable {
                 };
                 cols.push(col);
             }
-            batches.push(ColumnBatch { len, dtypes: dtypes.clone(), cols, ts_range: None });
+            batches.push(ColumnBatch {
+                len,
+                dtypes: dtypes.clone(),
+                cols,
+                ts_range: None,
+                summary: false,
+            });
         }
         Some(Ok(ColumnarScan { batches }))
     }
@@ -451,6 +430,7 @@ mod tests {
         let req = ScanRequest {
             filters: vec![(1, ColumnFilter::Eq(Datum::str("S1")))],
             needed: vec![0, 1],
+            summaries: None,
         };
         let rows = t.scan(&req).unwrap();
         assert_eq!(rows.len(), 25);

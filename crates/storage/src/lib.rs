@@ -48,5 +48,5 @@ pub use delete::{DeletePredicate, Tombstone};
 pub use select::Structure;
 pub use snapshot::{TableConfigSnapshot, TableSnapshot};
 pub use stats::StorageStats;
-pub use table::{ColumnarChunk, OdhTable, RangeAggregate, ScanPoint, TableConfig};
+pub use table::{BatchSummary, ColumnarChunk, OdhTable, ScanPoint, TableConfig, TimeGrain};
 pub use wal::{Wal, WalEntry, WalFrame, WalRecovery, WalStats};

@@ -10,8 +10,10 @@
 //!
 //! The pass is destructive on the MG container: a fresh, empty MG
 //! container is swapped in first, so concurrent ingest keeps appending
-//! while the old generation is drained (points are never visible twice:
-//! scans read the new container plus the rewritten per-source batches).
+//! while the old generation is drained. A seal ticket spans the swap, the
+//! rewrite and the switch of readers to the per-source histories, so a
+//! read overlapping any of it retries: it sees each moved point exactly
+//! once, in the MG generation before the pass or per source after it.
 
 use crate::batch::{summarize_columns, Batch, IrtsBatch, RtsBatch};
 use crate::blob::ValueBlob;
@@ -30,6 +32,7 @@ impl OdhTable {
     /// Returns the number of points moved.
     pub fn reorganize(&self) -> Result<u64> {
         let _span = self.obs.registry.span("reorg", &self.obs.reorg);
+        let ticket = self.seals.begin();
         // Swap in a fresh MG generation; drain the old one.
         let old = {
             let fresh = Arc::new(Container::create(self.pool().clone(), Structure::Mg)?);
@@ -108,6 +111,7 @@ impl OdhTable {
             }
         }
         self.reorganized.store(true, std::sync::atomic::Ordering::Release);
+        drop(ticket);
         // The drained generation is unreachable (its container id is
         // retired with it); evict its decode-cache entries so the budget
         // goes back to live batches. Done last: concurrent scans that
@@ -231,6 +235,46 @@ mod tests {
         let pts = t.historical_scan(SourceId(3), Timestamp(0), Timestamp(i64::MAX), &[0]).unwrap();
         assert_eq!(pts.len(), 5);
         assert_eq!(pts.last().unwrap().values[0], Some(9.0));
+    }
+
+    /// A whole-table read running beside `reorganize` must see every
+    /// point exactly once, however the two interleave.
+    #[test]
+    fn reads_during_reorganize_see_every_point() {
+        let pool = BufferPool::new(Arc::new(MemDisk::new()), 4096);
+        let cfg = TableConfig::new(SchemaType::new("meters", ["kwh", "volts"]))
+            .with_batch_size(256)
+            .with_mg_group_size(100);
+        let t = OdhTable::create(pool, ResourceMeter::unmetered(), cfg).unwrap();
+        for id in 0..100u64 {
+            t.register_source(SourceId(id), SourceClass::irregular_low()).unwrap();
+            let ts: Vec<i64> = (0..1_000).map(|k| k * 1_000_000 + id as i64).collect();
+            let col: Vec<Option<f64>> = (0..1_000).map(|k| Some(k as f64)).collect();
+            t.put_cols(SourceId(id), &ts, &[col.clone(), col]).unwrap();
+        }
+        t.flush().unwrap();
+        assert!(t.record_counts().2 > 0, "history sealed into MG");
+        let count = || -> u64 {
+            let grain = Some(crate::table::TimeGrain::Whole);
+            let chunks =
+                t.scan_columnar(Timestamp::MIN, Timestamp::MAX, &[0], None, &[], grain).unwrap();
+            chunks.iter().map(|c| c.summary.as_ref().map_or(c.len() as u64, |s| s.rows)).sum()
+        };
+        assert_eq!(count(), 100_000);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| loop {
+                let last = done.load(std::sync::atomic::Ordering::Acquire);
+                assert_eq!(count(), 100_000, "a read during reorganize lost rows");
+                if last {
+                    break;
+                }
+            });
+            assert_eq!(t.reorganize().unwrap(), 100_000);
+            done.store(true, std::sync::atomic::Ordering::Release);
+            reader.join().unwrap();
+        });
+        assert_eq!(t.record_counts().2, 0, "MG drained");
     }
 
     #[test]

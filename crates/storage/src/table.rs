@@ -24,7 +24,7 @@ use odh_pager::stats::ConcurrencyStats;
 use odh_sim::ResourceMeter;
 use odh_types::{GroupId, OdhError, Record, Result, SchemaType, SourceClass, SourceId, Timestamp};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Default byte budget of the decoded-batch cache.
@@ -208,34 +208,42 @@ pub struct ScanPoint {
     pub values: Vec<Option<f64>>,
 }
 
-/// Result of [`OdhTable::aggregate_range`]: the row count of the matching
-/// range plus one folded [`TagSummary`] per requested tag.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RangeAggregate {
-    /// Rows (records) in the range — what `COUNT(*)` sees.
-    pub rows: u64,
-    /// Folded per-tag summaries, parallel to the requested tag list.
-    pub tags: Vec<TagSummary>,
+/// The time grain at which [`OdhTable::scan_columnar`] may hand out a
+/// sealed batch's seal-time summary in place of its rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TimeGrain {
+    /// Any batch inside the scan range.
+    Whole,
+    /// A batch inside the scan range and inside one time bucket
+    /// `[k·width, (k+1)·width)` (µs; `width > 0`).
+    Bucket(i64),
 }
 
-impl RangeAggregate {
-    /// The aggregate of no rows over `tags_n` tags.
-    pub fn empty(tags_n: usize) -> RangeAggregate {
-        RangeAggregate { rows: 0, tags: vec![TagSummary::empty(); tags_n] }
-    }
-
-    /// Fold one row of projected values.
-    fn add_row(&mut self, values: impl IntoIterator<Item = Option<f64>>) {
-        self.rows += 1;
-        for (s, v) in self.tags.iter_mut().zip(values) {
-            s.add(v);
+impl TimeGrain {
+    /// Do timestamps `a` and `b` fall in one bucket?
+    fn same_bucket(self, a: i64, b: i64) -> bool {
+        match self {
+            TimeGrain::Whole => true,
+            TimeGrain::Bucket(w) => a.div_euclid(w) == b.div_euclid(w),
         }
     }
 }
 
+/// A sealed batch's seal-time summary, standing in for its rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchSummary {
+    /// Rows in the batch — what `COUNT(*)` sees.
+    pub rows: u64,
+    /// Timestamps (µs) of the batch's first and last row.
+    pub time_range: (i64, i64),
+    /// One [`TagSummary`] per requested tag.
+    pub tags: Vec<TagSummary>,
+}
+
 /// One run of rows surfaced column-wise by [`OdhTable::scan_columnar`]:
 /// a sealed batch's in-range span (tag columns shared zero-copy with the
-/// decode cache) or an open ingest buffer packed into owned columns.
+/// decode cache), a sealed batch's summary, or an open ingest buffer
+/// packed into owned columns.
 #[derive(Debug, Clone)]
 pub struct ColumnarChunk {
     /// Per-source batches carry their source here; MG batches and open
@@ -252,6 +260,9 @@ pub struct ColumnarChunk {
     pub cols: Vec<Arc<Vec<Option<f64>>>>,
     /// Row offset of this chunk inside `cols`.
     pub start: usize,
+    /// `Some` for a sealed batch answered by its summary: `ts`, `ids` and
+    /// `cols` are then empty and the summary describes every row.
+    pub summary: Option<BatchSummary>,
 }
 
 impl ColumnarChunk {
@@ -327,6 +338,8 @@ struct Pass<'a> {
     filter: Option<&'a HashSet<SourceId>>,
     /// Active tombstones, snapshotted once per pass.
     tombs: Arc<Vec<Tombstone>>,
+    /// Whether (and at which grain) batches may be summarized.
+    summaries: Option<TimeGrain>,
 }
 
 impl Pass<'_> {
@@ -351,15 +364,12 @@ impl Pass<'_> {
     }
 }
 
-/// Where a read pass delivers what it enumerates: the three consumers.
+/// Where a read pass delivers what it enumerates: the two consumers.
 enum Sink {
     /// Row scans: one [`ScanPoint`] per row.
     Rows(Vec<ScanPoint>),
     /// Columnar scans: one chunk per sealed batch or in-memory run.
     Chunks(Vec<ColumnarChunk>),
-    /// Aggregates: folds keyed by bucket start (`interval` `None`: one
-    /// bucket, key 0).
-    Fold { interval: Option<i64>, buckets: BTreeMap<i64, RangeAggregate> },
 }
 
 impl Sink {
@@ -372,12 +382,6 @@ impl Sink {
                 values: ch.values_at(row).collect(),
             })),
             Sink::Chunks(out) => out.push(ch),
-            Sink::Fold { interval, buckets } => {
-                for row in 0..ch.len() {
-                    bucket_slot(buckets, *interval, ch.cols.len(), ch.ts[row])
-                        .add_row(ch.values_at(row));
-                }
-            }
         }
     }
 
@@ -396,32 +400,7 @@ impl Sink {
                 values,
             })),
             Sink::Chunks(out) => out.extend(owned_chunk(tags_n, source, rows)),
-            Sink::Fold { interval, buckets } => {
-                for (_, t, values) in rows {
-                    bucket_slot(buckets, *interval, tags_n, t).add_row(values);
-                }
-            }
         }
-    }
-
-    /// The fold's summary-or-decode rule: answer a whole batch from its
-    /// seal-time summaries when the range covers it and it falls inside
-    /// one bucket. Returns whether it did (never, for scans).
-    fn fold_summary(&mut self, batch: &Batch, pass: &Pass, tally: &mut ReadTally) -> bool {
-        let Sink::Fold { interval, buckets } = self else { return false };
-        let Some(sums) = batch.summaries() else { return false };
-        let (begin, end) = batch.time_range();
-        let one_bucket = interval.is_none_or(|i| begin.div_euclid(i) == end.div_euclid(i));
-        if begin < pass.t1 || end > pass.t2 || !one_bucket {
-            return false;
-        }
-        let slot = bucket_slot(buckets, *interval, pass.tags.len(), begin);
-        slot.rows += batch.n_points() as u64;
-        for (s, &tag) in slot.tags.iter_mut().zip(pass.tags) {
-            s.merge(&sums[tag]);
-        }
-        tally.summary_answered_batches += 1;
-        true
     }
 }
 
@@ -443,9 +422,10 @@ pub(crate) struct SealSync {
 impl SealSync {
     /// Writer side: RAII ticket held from before the buffer take until the
     /// batch is queryable (dropped on error paths too). The compactor
-    /// holds one across its generation swaps for the same reason: any
-    /// composite read that overlaps the swap retries, so a reader can
-    /// never see a batch in both its old and new generation (or neither).
+    /// holds one across its generation swaps, and the reorganizer across
+    /// its MG drain, for the same reason: any composite read that
+    /// overlaps the move retries, so a reader can never see a row in both
+    /// its old and new place (or in neither).
     pub(crate) fn begin(&self) -> SealTicket<'_> {
         self.started.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         SealTicket(self)
@@ -1734,7 +1714,7 @@ impl OdhTable {
         tag_ranges: &[(usize, f64, f64)],
     ) -> Result<Vec<ScanPoint>> {
         let Sink::Rows(mut out) =
-            self.read_consistent(scope, t1, t2, tags, tag_ranges, || Sink::Rows(vec![]))?
+            self.read_consistent(scope, t1, t2, tags, tag_ranges, None, || Sink::Rows(vec![]))?
         else {
             unreachable!("a row read yields rows")
         };
@@ -1756,6 +1736,16 @@ impl OdhTable {
     /// whole sealed batches by their header bounds, exactly like
     /// [`OdhTable::slice_scan_filtered`] (pruning only removes batches
     /// that can contain no match, so residual re-checks stay sound).
+    ///
+    /// With `summaries`, a sealed batch lying wholly inside `[t1, t2]` and
+    /// inside one bucket of the grain comes back as its seal-time
+    /// [`BatchSummary`] instead of its rows, without decoding — unless
+    /// its rows need a per-row look: an MG batch under a `sources`
+    /// restriction (it interleaves other sources) or a batch a tombstone
+    /// overlaps (a summary cannot subtract deleted rows). Folding the
+    /// chunks equals folding the rows of the same scan without
+    /// `summaries`, except that floating-point sums may associate
+    /// differently.
     pub fn scan_columnar(
         &self,
         t1: Timestamp,
@@ -1763,85 +1753,23 @@ impl OdhTable {
         tags: &[usize],
         sources: Option<&HashSet<SourceId>>,
         tag_ranges: &[(usize, f64, f64)],
+        summaries: Option<TimeGrain>,
     ) -> Result<Vec<ColumnarChunk>> {
+        if let Some(TimeGrain::Bucket(w)) = summaries {
+            if w <= 0 {
+                return Err(OdhError::Config(format!("bucket width must be positive, got {w}")));
+            }
+        }
         let scope = Scope::Sources(sources);
+        let sink = || Sink::Chunks(vec![]);
         let Sink::Chunks(out) =
-            self.read_consistent(scope, t1, t2, tags, tag_ranges, || Sink::Chunks(vec![]))?
+            self.read_consistent(scope, t1, t2, tags, tag_ranges, summaries, sink)?
         else {
             unreachable!("a columnar read yields chunks")
         };
         let points: u64 = out.iter().map(ColumnarChunk::points).sum();
         self.stats.points_scanned.add(points);
         Ok(out)
-    }
-
-    /// Aggregate `tags` over `[t1, t2]` (optionally one `source`) without
-    /// materializing rows: the one-bucket case of
-    /// [`OdhTable::bucket_aggregate`]. Batches fully covered by the range
-    /// — and not subject to a source filter or tombstone their summaries
-    /// cannot express — are answered straight from their seal-time
-    /// [`TagSummary`] block; everything else (boundary batches, filtered
-    /// MG groups, pre-v2 records) pays decode through the cache. Open
-    /// ingest buffers are folded in row-by-row (the same dirty-read
-    /// isolation scans give).
-    ///
-    /// Equivalent to folding the rows of the matching scan, except that
-    /// floating-point sums may associate differently (per-batch partials
-    /// instead of row order).
-    pub fn aggregate_range(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-    ) -> Result<RangeAggregate> {
-        let mut buckets = self.fold(source, t1, t2, None, tags)?;
-        Ok(buckets.remove(&0).unwrap_or_else(|| RangeAggregate::empty(tags.len())))
-    }
-
-    /// Bucketed aggregate: [`OdhTable::aggregate_range`] split into
-    /// `interval_us`-wide time buckets keyed by
-    /// `ts.div_euclid(interval_us) * interval_us`. Sealed batches whose
-    /// rows land entirely inside one bucket — and that a source filter
-    /// cannot misattribute — are answered straight from their seal-time
-    /// summaries; batches straddling a bucket edge decode through the
-    /// cache and fold row-by-row. Open ingest buffers and queued seals
-    /// fold in per row (dirty-read isolation, as everywhere else).
-    pub fn bucket_aggregate(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        interval_us: i64,
-        tags: &[usize],
-    ) -> Result<BTreeMap<i64, RangeAggregate>> {
-        if interval_us <= 0 {
-            return Err(OdhError::Config(format!(
-                "bucket interval must be positive, got {interval_us}"
-            )));
-        }
-        self.fold(source, t1, t2, Some(interval_us), tags)
-    }
-
-    /// The fold consumer behind both aggregates.
-    fn fold(
-        &self,
-        source: Option<SourceId>,
-        t1: Timestamp,
-        t2: Timestamp,
-        interval: Option<i64>,
-        tags: &[usize],
-    ) -> Result<BTreeMap<i64, RangeAggregate>> {
-        let scope = match source {
-            Some(s) => Scope::Source(s),
-            None => Scope::Sources(None),
-        };
-        let sink = || Sink::Fold { interval, buckets: BTreeMap::new() };
-        let Sink::Fold { buckets, .. } = self.read_consistent(scope, t1, t2, tags, &[], sink)?
-        else {
-            unreachable!("an aggregate read yields buckets")
-        };
-        Ok(buckets)
     }
 
     /// Read everything `scope` covers in `[t1, t2]` into a fresh sink:
@@ -1855,6 +1783,7 @@ impl OdhTable {
     /// tallied per pass and committed to [`StorageStats`] only for the
     /// pass whose result is returned, so discarded retries never inflate
     /// the counters — they stay exact under concurrent sealing.
+    #[allow(clippy::too_many_arguments)]
     fn read_consistent(
         &self,
         scope: Scope<'_>,
@@ -1862,6 +1791,7 @@ impl OdhTable {
         t2: Timestamp,
         tags: &[usize],
         tag_ranges: &[(usize, f64, f64)],
+        summaries: Option<TimeGrain>,
         sink: impl Fn() -> Sink,
     ) -> Result<Sink> {
         loop {
@@ -1871,7 +1801,8 @@ impl OdhTable {
             };
             let mut tally = ReadTally::default();
             let mut out = sink();
-            let res = self.read_pass(scope, t1, t2, tags, tag_ranges, &mut tally, &mut out);
+            let res =
+                self.read_pass(scope, t1, t2, tags, tag_ranges, summaries, &mut tally, &mut out);
             if res.is_err() || self.seals.still(epoch) {
                 tally.commit(&self.stats);
                 // Install this pass's decode-cache admissions in the
@@ -1913,6 +1844,7 @@ impl OdhTable {
         t2: Timestamp,
         tags: &[usize],
         tag_ranges: &[(usize, f64, f64)],
+        summaries: Option<TimeGrain>,
         tally: &mut ReadTally,
         sink: &mut Sink,
     ) -> Result<()> {
@@ -1936,6 +1868,7 @@ impl OdhTable {
             tag_ranges,
             filter,
             tombs: self.tombstones(),
+            summaries,
         };
         for (container, cold) in &self.read_gens() {
             let records = container.record_count();
@@ -2000,9 +1933,9 @@ impl OdhTable {
 
     /// Fetch one sealed batch and put it through the one admission check
     /// — time reject, zone pruning, source filter — then hand the sink
-    /// its summary (folds, when it answers the whole batch) or its
-    /// in-range rows as one chunk: zero-copy with the decode cache unless
-    /// the source filter or a tombstone drops some of them.
+    /// its summary (when the pass allows and it answers the whole batch)
+    /// or its in-range rows as one chunk: zero-copy with the decode cache
+    /// unless the source filter or a tombstone drops some of them.
     fn read_batch(
         &self,
         pass: &Pass,
@@ -2034,11 +1967,28 @@ impl OdhTable {
             return Ok(());
         }
         // A filtered MG batch interleaves foreign sources, and a summary
-        // cannot subtract deleted rows (the pushdown-soundness rule):
-        // both need a per-row look.
+        // cannot subtract deleted rows: both need a per-row look.
         let per_row = (source.is_none() && pass.filter.is_some())
             || masks_batch(&pass.tombs, source, begin, end);
-        if !per_row && sink.fold_summary(batch, pass, tally) {
+        // The summary-or-decode rule: a batch wholly inside the range and
+        // inside one bucket of the grain is answered by its summary.
+        let whole = begin >= pass.t1 && end <= pass.t2;
+        let summarize =
+            pass.summaries.is_some_and(|g| !per_row && whole && g.same_bucket(begin, end));
+        if let Some(sums) = batch.summaries().filter(|_| summarize) {
+            tally.summary_answered_batches += 1;
+            sink.chunk(ColumnarChunk {
+                source,
+                ids: None,
+                ts: Vec::new(),
+                cols: Vec::new(),
+                start: 0,
+                summary: Some(BatchSummary {
+                    rows: batch.n_points() as u64,
+                    time_range: (begin, end),
+                    tags: pass.tags.iter().map(|&t| sums[t].clone()).collect(),
+                }),
+            });
             return Ok(());
         }
         let cols = self.project_cached(&entry, pass.tags, tally)?;
@@ -2049,8 +1999,14 @@ impl OdhTable {
             Batch::Mg(b) => Some(b.ids[lo..hi].to_vec()),
             _ => None,
         };
-        let mut chunk =
-            ColumnarChunk { source, ids, ts: entry.ts[lo..hi].to_vec(), cols, start: lo };
+        let mut chunk = ColumnarChunk {
+            source,
+            ids,
+            ts: entry.ts[lo..hi].to_vec(),
+            cols,
+            start: lo,
+            summary: None,
+        };
         if per_row {
             chunk.retain(|src, t| pass.wants(src) && !pass.masks(src, t, tally));
         }
@@ -2283,19 +2239,8 @@ fn owned_chunk(
         ts,
         cols: cols.into_iter().map(Arc::new).collect(),
         start: 0,
+        summary: None,
     })
-}
-
-/// The aggregate slot for timestamp `t`, created on demand: its
-/// `interval`-wide bucket, or the single bucket 0 without an interval.
-fn bucket_slot(
-    map: &mut BTreeMap<i64, RangeAggregate>,
-    interval: Option<i64>,
-    tags_n: usize,
-    t: i64,
-) -> &mut RangeAggregate {
-    let b = interval.map_or(0, |i| t.div_euclid(i) * i);
-    map.entry(b).or_insert_with(|| RangeAggregate::empty(tags_n))
 }
 
 /// Sort rows by timestamp (stable), carrying ids and columns along.
@@ -2711,6 +2656,51 @@ mod tests {
         assert!(pts.windows(2).all(|w| w[0].ts <= w[1].ts));
     }
 
+    /// A summary-permitting columnar scan folded per bucket of `grain`
+    /// (key 0 for the whole range): `(rows, one summary per tag)`.
+    fn fold_scan(
+        t: &OdhTable,
+        source: Option<u64>,
+        t1: i64,
+        t2: i64,
+        grain: TimeGrain,
+        tags: &[usize],
+    ) -> std::collections::BTreeMap<i64, (u64, Vec<TagSummary>)> {
+        let only: Option<HashSet<SourceId>> = source.map(|s| [SourceId(s)].into_iter().collect());
+        let chunks = t
+            .scan_columnar(Timestamp(t1), Timestamp(t2), tags, only.as_ref(), &[], Some(grain))
+            .unwrap();
+        let key = |ts: i64| match grain {
+            TimeGrain::Whole => 0,
+            TimeGrain::Bucket(w) => ts.div_euclid(w) * w,
+        };
+        let mut out = std::collections::BTreeMap::new();
+        let empty = || (0, vec![TagSummary::empty(); tags.len()]);
+        for ch in chunks {
+            match &ch.summary {
+                Some(sum) => {
+                    let slot = out.entry(key(sum.time_range.0)).or_insert_with(empty);
+                    slot.0 += sum.rows;
+                    slot.1.iter_mut().zip(&sum.tags).for_each(|(a, b)| a.merge(b));
+                }
+                None => {
+                    for (row, &ts) in ch.ts.iter().enumerate() {
+                        let slot = out.entry(key(ts)).or_insert_with(empty);
+                        slot.0 += 1;
+                        slot.1.iter_mut().zip(ch.values_at(row)).for_each(|(a, v)| a.add(v));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// [`fold_scan`] over the whole range as one bucket.
+    fn fold_all(t: &OdhTable, source: Option<u64>, tags: &[usize]) -> (u64, Vec<TagSummary>) {
+        let mut b = fold_scan(t, source, 0, i64::MAX, TimeGrain::Whole, tags);
+        b.remove(&0).unwrap_or((0, vec![TagSummary::empty(); tags.len()]))
+    }
+
     #[test]
     fn delete_masks_rows_on_every_read_tier() {
         let t = table(16);
@@ -2732,20 +2722,18 @@ mod tests {
         let pts = t.slice_scan(Timestamp(0), Timestamp(i64::MAX), &[0], None).unwrap();
         assert_eq!(pts.len(), 94);
         // Columnar tier.
-        let chunks = t.scan_columnar(Timestamp(0), Timestamp(i64::MAX), &[0], None, &[]).unwrap();
+        let chunks =
+            t.scan_columnar(Timestamp(0), Timestamp(i64::MAX), &[0], None, &[], None).unwrap();
         let rows: usize = chunks.iter().map(|c| c.len()).sum();
         assert_eq!(rows, 94);
-        // Aggregate tier: count and sum exclude the masked rows.
-        let agg =
-            t.aggregate_range(Some(SourceId(5)), Timestamp(0), Timestamp(i64::MAX), &[0]).unwrap();
-        assert_eq!(agg.tags[0].count, 94);
+        // Summary tier: count and sum exclude the masked rows.
+        let (_, agg) = fold_all(&t, Some(5), &[0]);
+        assert_eq!(agg[0].count, 94);
         let expect: i64 = (0..100).filter(|i| !(20..=25).contains(i)).sum();
-        assert_eq!(agg.tags[0].sum, expect as f64);
-        // Bucket tier: the bucket holding the deleted span shrinks.
-        let buckets = t
-            .bucket_aggregate(Some(SourceId(5)), Timestamp(0), Timestamp(i64::MAX), 1_000_000, &[0])
-            .unwrap();
-        let total: u64 = buckets.values().map(|a| a.tags[0].count).sum();
+        assert_eq!(agg[0].sum, expect as f64);
+        // Bucketed: the bucket holding the deleted span shrinks.
+        let buckets = fold_scan(&t, Some(5), 0, i64::MAX, TimeGrain::Bucket(1_000_000), &[0]);
+        let total: u64 = buckets.values().map(|a| a.1[0].count).sum();
         assert_eq!(total, 94);
         assert!(t.stats().tombstone_masked_rows.get() > 0);
     }
@@ -2757,9 +2745,7 @@ mod tests {
             .unwrap();
         put_regular(&t, 5, 100, 10_000);
         t.flush().unwrap(); // 7 sealed batches
-        let agg = |t: &OdhTable| {
-            t.aggregate_range(Some(SourceId(5)), Timestamp(0), Timestamp(i64::MAX), &[0]).unwrap()
-        };
+        let agg = |t: &OdhTable| fold_all(t, Some(5), &[0]).1;
         let base = agg(&t);
         let s0 = t.stats().summary_answered_batches.get();
         let d0 = t.stats().blob_decodes.get();
@@ -2767,7 +2753,7 @@ mod tests {
         // off the summary fast path and decode; the other six must not.
         t.delete(&crate::delete::DeletePredicate::all_sources(1_200_000, 1_250_000)).unwrap();
         let masked = agg(&t);
-        assert_eq!(masked.tags[0].count, base.tags[0].count - 6);
+        assert_eq!(masked[0].count, base[0].count - 6);
         let s1 = t.stats().summary_answered_batches.get();
         let d1 = t.stats().blob_decodes.get();
         assert_eq!(s1 - s0, 6, "six clean batches still summary-answered");
@@ -2775,64 +2761,59 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_range_fully_covered_answers_from_summaries() {
+    fn covered_batches_answer_from_summaries() {
         let t = table(16);
         t.register_source(SourceId(5), SourceClass::regular_high(Duration::from_hz(100.0)))
             .unwrap();
         put_regular(&t, 5, 100, 10_000); // values (i, -i), integer-exact
         t.flush().unwrap(); // 6 full batches + 1 remainder = 7 sealed
-        let agg = t
-            .aggregate_range(Some(SourceId(5)), Timestamp(0), Timestamp(i64::MAX), &[0, 1])
-            .unwrap();
-        assert_eq!(agg.rows, 100);
-        assert_eq!(agg.tags[0].count, 100);
-        assert_eq!(agg.tags[0].sum, (0..100).sum::<i64>() as f64);
-        assert_eq!(agg.tags[0].min, 0.0);
-        assert_eq!(agg.tags[0].max, 99.0);
-        assert_eq!(agg.tags[1].min, -99.0);
+        let (rows, agg) = fold_all(&t, Some(5), &[0, 1]);
+        assert_eq!(rows, 100);
+        assert_eq!(agg[0].count, 100);
+        assert_eq!(agg[0].sum, (0..100).sum::<i64>() as f64);
+        assert_eq!(agg[0].min, 0.0);
+        assert_eq!(agg[0].max, 99.0);
+        assert_eq!(agg[1].min, -99.0);
         let snap = t.stats().snapshot();
         assert_eq!(snap.summary_answered_batches, Some(7), "all batches summary-answered");
         assert_eq!(snap.blob_decodes, Some(0), "no blob touched");
     }
 
     #[test]
-    fn aggregate_range_decodes_only_boundary_batches() {
+    fn summaries_decode_only_boundary_batches() {
         let t = table(16);
         t.register_source(SourceId(5), SourceClass::regular_high(Duration::from_hz(100.0)))
             .unwrap();
         put_regular(&t, 5, 100, 10_000);
         t.flush().unwrap();
         // Rows 20..=70: batches 1 and 4 are boundaries, 2 and 3 covered.
-        let t1 = Timestamp(1_000_000 + 200_000);
-        let t2 = Timestamp(1_000_000 + 700_000);
-        let agg = t.aggregate_range(Some(SourceId(5)), t1, t2, &[0]).unwrap();
-        assert_eq!(agg.rows, 51);
-        assert_eq!(agg.tags[0].sum, (20..=70).sum::<i64>() as f64);
+        let (t1, t2) = (1_000_000 + 200_000, 1_000_000 + 700_000);
+        let (rows, agg) =
+            fold_scan(&t, Some(5), t1, t2, TimeGrain::Whole, &[0]).remove(&0).unwrap();
+        assert_eq!(rows, 51);
+        assert_eq!(agg[0].sum, (20..=70).sum::<i64>() as f64);
         let snap = t.stats().snapshot();
         assert_eq!(snap.summary_answered_batches, Some(2));
         assert_eq!(snap.blob_decodes, Some(2), "only boundary batches decode");
         // Equivalent to folding the scan.
-        let pts = t.historical_scan(SourceId(5), t1, t2, &[0]).unwrap();
+        let pts = t.historical_scan(SourceId(5), Timestamp(t1), Timestamp(t2), &[0]).unwrap();
         let sum: f64 = pts.iter().filter_map(|p| p.values[0]).sum();
-        assert_eq!(sum, agg.tags[0].sum);
-        assert_eq!(pts.len() as u64, agg.rows);
+        assert_eq!(sum, agg[0].sum);
+        assert_eq!(pts.len() as u64, rows);
     }
 
     #[test]
-    fn aggregate_range_sees_open_buffers() {
+    fn summary_scans_see_open_buffers() {
         let t = table(1000); // nothing seals
         t.register_source(SourceId(9), SourceClass::irregular_high()).unwrap();
         for i in 0..5i64 {
             t.put(&Record::dense(SourceId(9), Timestamp(i * 100), [i as f64, 0.0])).unwrap();
         }
-        let agg =
-            t.aggregate_range(Some(SourceId(9)), Timestamp(0), Timestamp(i64::MAX), &[0]).unwrap();
-        assert_eq!(agg.rows, 5);
-        assert_eq!(agg.tags[0].sum, 10.0);
+        let (rows, agg) = fold_all(&t, Some(9), &[0]);
+        assert_eq!((rows, agg[0].sum), (5, 10.0));
         // Whole-table form folds the same buffer.
-        let all = t.aggregate_range(None, Timestamp(0), Timestamp(i64::MAX), &[0]).unwrap();
-        assert_eq!(all.rows, 5);
-        assert_eq!(all.tags[0].sum, 10.0);
+        let (rows, agg) = fold_all(&t, None, &[0]);
+        assert_eq!((rows, agg[0].sum), (5, 10.0));
     }
 
     #[test]
@@ -2925,10 +2906,7 @@ mod tests {
             let pts =
                 t.historical_scan(SourceId(9), Timestamp(0), Timestamp(i64::MAX), &[0]).unwrap();
             assert_eq!(pts.len() as i64, i + 1, "row lost at i={i}");
-            let agg = t
-                .aggregate_range(Some(SourceId(9)), Timestamp(0), Timestamp(i64::MAX), &[0])
-                .unwrap();
-            assert_eq!(agg.rows as i64, i + 1);
+            assert_eq!(fold_all(&t, Some(9), &[0]).0 as i64, i + 1);
         }
         t.flush().unwrap();
         let pts = t.historical_scan(SourceId(9), Timestamp(0), Timestamp(i64::MAX), &[0]).unwrap();
@@ -3019,7 +2997,7 @@ mod tests {
         // No flush: open buffers must appear too (dirty-read isolation).
         let pts = t.slice_scan(Timestamp(3_000), Timestamp(25_000), &[0, 1], None).unwrap();
         let chunks =
-            t.scan_columnar(Timestamp(3_000), Timestamp(25_000), &[0, 1], None, &[]).unwrap();
+            t.scan_columnar(Timestamp(3_000), Timestamp(25_000), &[0, 1], None, &[], None).unwrap();
         let rows = chunk_rows(&chunks);
         assert_eq!(rows.len(), pts.len());
         for (p, r) in pts.iter().zip(&rows) {
@@ -3029,7 +3007,7 @@ mod tests {
         // Restriction to a subset prunes foreign rows (MG included).
         let only: HashSet<SourceId> = [SourceId(2)].into_iter().collect();
         let chunks =
-            t.scan_columnar(Timestamp(0), Timestamp(40_000), &[0], Some(&only), &[]).unwrap();
+            t.scan_columnar(Timestamp(0), Timestamp(40_000), &[0], Some(&only), &[], None).unwrap();
         let rows = chunk_rows(&chunks);
         assert_eq!(rows.len(), 32);
         assert!(rows.iter().all(|r| r.0 == SourceId(2)));
@@ -3046,7 +3024,7 @@ mod tests {
         t.slice_scan(Timestamp(0), Timestamp(i64::MAX), &[0, 1], None).unwrap();
         let before = t.stats().snapshot().blob_decodes.unwrap();
         let chunks =
-            t.scan_columnar(Timestamp(0), Timestamp(i64::MAX), &[0, 1], None, &[]).unwrap();
+            t.scan_columnar(Timestamp(0), Timestamp(i64::MAX), &[0, 1], None, &[], None).unwrap();
         assert_eq!(chunks.iter().map(ColumnarChunk::len).sum::<usize>(), 64);
         assert_eq!(t.stats().snapshot().blob_decodes.unwrap(), before, "zero-copy from cache");
         // Sealed chunks carry whole-batch columns with a row offset.
@@ -3054,7 +3032,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_aggregate_single_bucket_batches_answer_from_summaries() {
+    fn single_bucket_batches_answer_from_summaries() {
         let t = table(16);
         t.register_source(SourceId(5), SourceClass::regular_high(Duration::from_hz(100.0)))
             .unwrap();
@@ -3065,31 +3043,21 @@ mod tests {
         t.flush().unwrap();
         // 160ms buckets align with 16-row batches (rows start at t=0):
         // every sealed batch lands inside one bucket → pure summaries.
-        let buckets = t
-            .bucket_aggregate(Some(SourceId(5)), Timestamp(0), Timestamp(i64::MAX), 160_000, &[0])
-            .unwrap();
-        let total: u64 = buckets.values().map(|a| a.rows).sum();
+        let buckets = fold_scan(&t, Some(5), 0, i64::MAX, TimeGrain::Bucket(160_000), &[0]);
+        let total: u64 = buckets.values().map(|a| a.0).sum();
         assert_eq!(total, 100);
         let snap = t.stats().snapshot();
         assert_eq!(snap.summary_answered_batches, Some(7), "all batches summary-answered");
         assert_eq!(snap.blob_decodes, Some(0), "no blob touched");
         // Bucket totals match per-range aggregates.
         for (&start, agg) in &buckets {
-            let want = t
-                .aggregate_range(
-                    Some(SourceId(5)),
-                    Timestamp(start),
-                    Timestamp(start + 160_000 - 1),
-                    &[0],
-                )
-                .unwrap();
-            assert_eq!(agg.rows, want.rows, "bucket {start}");
-            assert_eq!(agg.tags[0].sum, want.tags[0].sum, "bucket {start}");
+            let want = fold_scan(&t, Some(5), start, start + 160_000 - 1, TimeGrain::Whole, &[0]);
+            assert_eq!(agg, &want[&0], "bucket {start}");
         }
     }
 
     #[test]
-    fn bucket_aggregate_straddling_batches_decode_and_split() {
+    fn straddling_batches_decode_and_split() {
         let t = table(16);
         t.register_source(SourceId(5), SourceClass::regular_high(Duration::from_hz(100.0)))
             .unwrap();
@@ -3097,38 +3065,28 @@ mod tests {
         t.flush().unwrap();
         // 100ms buckets split every 160ms batch across bucket edges →
         // decode path, but the per-bucket math must still agree.
-        let buckets = t
-            .bucket_aggregate(Some(SourceId(5)), Timestamp(0), Timestamp(i64::MAX), 100_000, &[0])
-            .unwrap();
+        let buckets = fold_scan(&t, Some(5), 0, i64::MAX, TimeGrain::Bucket(100_000), &[0]);
         assert_eq!(buckets.len(), 10, "1s..2s at 100ms = 10 buckets");
         for (&start, agg) in &buckets {
-            assert_eq!(agg.rows, 10, "bucket {start}");
-            let want = t
-                .aggregate_range(
-                    Some(SourceId(5)),
-                    Timestamp(start),
-                    Timestamp(start + 100_000 - 1),
-                    &[0],
-                )
-                .unwrap();
-            assert_eq!(agg.tags[0].sum, want.tags[0].sum, "bucket {start}");
+            assert_eq!(agg.0, 10, "bucket {start}");
+            let want = fold_scan(&t, Some(5), start, start + 100_000 - 1, TimeGrain::Whole, &[0]);
+            assert_eq!(agg.1[0].sum, want[&0].1[0].sum, "bucket {start}");
         }
         assert!(t.stats().snapshot().blob_decodes.unwrap() > 0, "straddlers decode");
     }
 
     #[test]
-    fn bucket_aggregate_sees_open_buffers_and_rejects_bad_interval() {
+    fn bucketed_summary_scans_see_open_buffers_and_reject_bad_widths() {
         let t = table(1000); // nothing seals
         t.register_source(SourceId(9), SourceClass::irregular_high()).unwrap();
         t.put(&Record::dense(SourceId(9), Timestamp(50_000), [7.0, 8.0])).unwrap();
         t.put(&Record::dense(SourceId(9), Timestamp(150_000), [9.0, 1.0])).unwrap();
-        let buckets = t
-            .bucket_aggregate(Some(SourceId(9)), Timestamp(0), Timestamp(i64::MAX), 100_000, &[0])
-            .unwrap();
+        let buckets = fold_scan(&t, Some(9), 0, i64::MAX, TimeGrain::Bucket(100_000), &[0]);
         assert_eq!(buckets.len(), 2);
-        assert_eq!(buckets[&0].tags[0].sum, 7.0);
-        assert_eq!(buckets[&100_000].tags[0].sum, 9.0);
-        assert!(t.bucket_aggregate(None, Timestamp(0), Timestamp(1), 0, &[0]).is_err());
+        assert_eq!(buckets[&0].1[0].sum, 7.0);
+        assert_eq!(buckets[&100_000].1[0].sum, 9.0);
+        let zero = Some(TimeGrain::Bucket(0));
+        assert!(t.scan_columnar(Timestamp(0), Timestamp(1), &[0], None, &[], zero).is_err());
     }
 
     #[test]

@@ -1,23 +1,25 @@
 //! Read-path equivalence oracle for [`OdhTable`].
 //!
-//! The five read entry points — `historical_scan`, `slice_scan`,
-//! `scan_columnar`, `aggregate_range` and `bucket_aggregate` — must
-//! describe one and the same set of rows, wherever those rows live:
-//! sealed RTS/IRTS/MG batches (hot or cold), open and side buffers, or
-//! the seal queue, with tombstones masking on every tier. Each case
-//! builds a random table from one sampled seed and checks:
+//! The read entry points — `historical_scan`, `slice_scan` and
+//! `scan_columnar`, with and without summaries — must describe one and
+//! the same set of rows, wherever those rows live: sealed RTS/IRTS/MG
+//! batches (hot or cold), open and side buffers, or the seal queue, with
+//! tombstones masking on every tier. Each case builds a random table from
+//! one sampled seed and checks:
 //!
 //! - `historical_scan(s)` equals `slice_scan(Some({s}))`, row for row;
 //! - the rows of `scan_columnar` equal those of `slice_scan`;
-//! - `aggregate_range` and `bucket_aggregate` equal a fold of the
-//!   scanned rows (sums within a relative 1e-9: summaries and batch
-//!   order associate floating-point additions differently).
+//! - `scan_columnar` with summaries permitted, whole-range and bucketed,
+//!   folded per bucket, equals a fold of the scanned rows (sums within a
+//!   relative 1e-9: summaries and batch order associate floating-point
+//!   additions differently), and every summary it hands out covers a
+//!   batch inside the range and inside one bucket.
 
 use odh_pager::disk::MemDisk;
 use odh_pager::pool::BufferPool;
 use odh_sim::ResourceMeter;
 use odh_storage::{
-    ColumnarChunk, DeletePredicate, OdhTable, RangeAggregate, ScanPoint, TableConfig, TagSummary,
+    ColumnarChunk, DeletePredicate, OdhTable, ScanPoint, TableConfig, TagSummary, TimeGrain,
 };
 use odh_types::{Duration, Record, SchemaType, SourceClass, SourceId, Timestamp};
 use proptest::prelude::*;
@@ -184,7 +186,20 @@ fn close(a: f64, b: f64) -> bool {
     a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
 }
 
-fn assert_agg_eq(got: &RangeAggregate, want: &RangeAggregate, ctx: &str) {
+/// Rows and one summary per tag, folded over one bucket.
+#[derive(Debug, Clone)]
+struct Agg {
+    rows: u64,
+    tags: Vec<TagSummary>,
+}
+
+impl Agg {
+    fn empty(ntags: usize) -> Agg {
+        Agg { rows: 0, tags: vec![TagSummary::empty(); ntags] }
+    }
+}
+
+fn assert_agg_eq(got: &Agg, want: &Agg, ctx: &str) {
     assert_eq!(got.rows, want.rows, "{ctx}: row count");
     assert_eq!(got.tags.len(), want.tags.len(), "{ctx}: tag count");
     for (i, (g, w)) in got.tags.iter().zip(&want.tags).enumerate() {
@@ -194,14 +209,18 @@ fn assert_agg_eq(got: &RangeAggregate, want: &RangeAggregate, ctx: &str) {
     }
 }
 
-/// Fold scanned rows per bucket (`interval` `None`: one bucket, key 0).
-fn fold(rows: &[ScanPoint], ntags: usize, interval: Option<i64>) -> BTreeMap<i64, RangeAggregate> {
+fn bucket_of(ts: i64, grain: TimeGrain) -> i64 {
+    match grain {
+        TimeGrain::Whole => 0,
+        TimeGrain::Bucket(w) => ts.div_euclid(w) * w,
+    }
+}
+
+/// Fold scanned rows per bucket of `grain`.
+fn fold(rows: &[ScanPoint], ntags: usize, grain: TimeGrain) -> BTreeMap<i64, Agg> {
     let mut out = BTreeMap::new();
     for p in rows {
-        let key = interval.map_or(0, |i| p.ts.micros().div_euclid(i) * i);
-        let slot = out
-            .entry(key)
-            .or_insert_with(|| RangeAggregate { rows: 0, tags: vec![TagSummary::empty(); ntags] });
+        let slot = out.entry(bucket_of(p.ts.micros(), grain)).or_insert_with(|| Agg::empty(ntags));
         slot.rows += 1;
         for (s, v) in slot.tags.iter_mut().zip(&p.values) {
             s.add(*v);
@@ -210,9 +229,53 @@ fn fold(rows: &[ScanPoint], ntags: usize, interval: Option<i64>) -> BTreeMap<i64
     out
 }
 
+/// Fold a summary-permitting columnar scan per bucket of `grain`,
+/// checking that each summary stands for a batch inside `[t1, t2]` and
+/// inside one bucket.
+fn fold_chunks(
+    chunks: &[ColumnarChunk],
+    ntags: usize,
+    grain: TimeGrain,
+    (t1, t2): (Timestamp, Timestamp),
+    ctx: &str,
+) -> BTreeMap<i64, Agg> {
+    let mut out = BTreeMap::new();
+    for ch in chunks {
+        match &ch.summary {
+            Some(sum) => {
+                let (begin, end) = sum.time_range;
+                assert!(begin >= t1.micros() && end <= t2.micros(), "{ctx}: summary outside range");
+                let key = bucket_of(begin, grain);
+                assert_eq!(key, bucket_of(end, grain), "{ctx}: summary straddles a bucket");
+                let slot = out.entry(key).or_insert_with(|| Agg::empty(ntags));
+                slot.rows += sum.rows;
+                slot.tags.iter_mut().zip(&sum.tags).for_each(|(a, b)| a.merge(b));
+            }
+            None => {
+                for (row, &ts) in ch.ts.iter().enumerate() {
+                    let slot = out.entry(bucket_of(ts, grain)).or_insert_with(|| Agg::empty(ntags));
+                    slot.rows += 1;
+                    for (s, c) in slot.tags.iter_mut().zip(&ch.cols) {
+                        s.add(c[ch.start + row]);
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+fn assert_folds_eq(got: &BTreeMap<i64, Agg>, want: &BTreeMap<i64, Agg>, ctx: &str) {
+    assert_eq!(got.keys().collect::<Vec<_>>(), want.keys().collect::<Vec<_>>(), "{ctx}: buckets");
+    for (k, g) in got {
+        assert_agg_eq(g, &want[k], &format!("{ctx}: bucket {k}"));
+    }
+}
+
 fn chunk_rows(chunks: &[ColumnarChunk]) -> Vec<(SourceId, i64, Vec<Option<f64>>)> {
     let mut out = Vec::new();
     for ch in chunks {
+        assert!(ch.summary.is_none(), "summary chunk from a scan that did not permit one");
         for row in 0..ch.len() {
             let src = ch.source.unwrap_or_else(|| ch.ids.as_ref().unwrap()[row]);
             let values = ch.cols.iter().map(|c| c[ch.start + row]).collect();
@@ -237,7 +300,7 @@ fn check(t: &OdhTable, rng: &mut Rng, span: (i64, i64), phase: &str) {
         for tags in [vec![0, 1], vec![1], vec![1, 0]] {
             let ctx = format!("{phase} window {w} tags {tags:?}");
             let all = t.slice_scan(t1, t2, &tags, None).unwrap();
-            let chunks = t.scan_columnar(t1, t2, &tags, None, &[]).unwrap();
+            let chunks = t.scan_columnar(t1, t2, &tags, None, &[], None).unwrap();
             let as_rows: Vec<_> =
                 all.iter().map(|p| (p.source, p.ts.micros(), p.values.clone())).collect();
             assert_eq!(chunk_rows(&chunks), as_rows, "{ctx}: scan_columnar vs slice_scan");
@@ -247,36 +310,24 @@ fn check(t: &OdhTable, rng: &mut Rng, span: (i64, i64), phase: &str) {
                 let hist = t.historical_scan(sid, t1, t2, &tags).unwrap();
                 let slice = t.slice_scan(t1, t2, &tags, Some(&only)).unwrap();
                 assert_eq!(hist, slice, "{ctx} source {id}: historical vs slice");
-                let cols = t.scan_columnar(t1, t2, &tags, Some(&only), &[]).unwrap();
+                let cols = t.scan_columnar(t1, t2, &tags, Some(&only), &[], None).unwrap();
                 let slice_rows: Vec<_> =
                     slice.iter().map(|p| (p.source, p.ts.micros(), p.values.clone())).collect();
                 assert_eq!(chunk_rows(&cols), slice_rows, "{ctx} source {id}: columnar");
-                let agg = t.aggregate_range(Some(sid), t1, t2, &tags).unwrap();
-                let want = fold(&slice, tags.len(), None).remove(&0).unwrap_or(RangeAggregate {
-                    rows: 0,
-                    tags: vec![TagSummary::empty(); tags.len()],
-                });
-                assert_agg_eq(&agg, &want, &format!("{ctx} source {id}: aggregate_range"));
                 let interval = intervals[rng.below(intervals.len() as u64) as usize];
-                let got = t.bucket_aggregate(Some(sid), t1, t2, interval, &tags).unwrap();
-                let want = fold(&slice, tags.len(), Some(interval));
-                assert_eq!(got.keys().collect::<Vec<_>>(), want.keys().collect::<Vec<_>>());
-                for (k, g) in &got {
-                    assert_agg_eq(g, &want[k], &format!("{ctx} source {id}: bucket {k}"));
+                for grain in [TimeGrain::Whole, TimeGrain::Bucket(interval)] {
+                    let ctx = format!("{ctx} source {id}: summaries {grain:?}");
+                    let chunks = t.scan_columnar(t1, t2, &tags, Some(&only), &[], Some(grain));
+                    let got = fold_chunks(&chunks.unwrap(), tags.len(), grain, (t1, t2), &ctx);
+                    assert_folds_eq(&got, &fold(&slice, tags.len(), grain), &ctx);
                 }
             }
-            let agg = t.aggregate_range(None, t1, t2, &tags).unwrap();
-            let want = fold(&all, tags.len(), None)
-                .remove(&0)
-                .unwrap_or(RangeAggregate { rows: 0, tags: vec![TagSummary::empty(); tags.len()] });
-            assert_agg_eq(&agg, &want, &format!("{ctx}: whole-table aggregate_range"));
-            for &interval in &intervals {
-                let got = t.bucket_aggregate(None, t1, t2, interval, &tags).unwrap();
-                let want = fold(&all, tags.len(), Some(interval));
-                assert_eq!(got.keys().collect::<Vec<_>>(), want.keys().collect::<Vec<_>>());
-                for (k, g) in &got {
-                    assert_agg_eq(g, &want[k], &format!("{ctx}: whole-table bucket {k}"));
-                }
+            let grains = intervals.iter().map(|&i| TimeGrain::Bucket(i));
+            for grain in std::iter::once(TimeGrain::Whole).chain(grains) {
+                let ctx = format!("{ctx}: whole-table summaries {grain:?}");
+                let chunks = t.scan_columnar(t1, t2, &tags, None, &[], Some(grain)).unwrap();
+                let got = fold_chunks(&chunks, tags.len(), grain, (t1, t2), &ctx);
+                assert_folds_eq(&got, &fold(&all, tags.len(), grain), &ctx);
             }
         }
     }

@@ -5,16 +5,10 @@
 //! read-path attribution counter is reproducible; only wall-clock `time=`
 //! tokens vary and are normalized away. Regenerate the golden file with
 //! `UPDATE_GOLDEN=1 cargo test --test explain_analyze`.
-//!
-//! Aggregate pushdown is a process-global ablation switch, so the tests
-//! in this binary serialize on a mutex and always restore the default.
 
 use odh_core::Historian;
 use odh_storage::TableConfig;
 use odh_types::{Record, SchemaType, SourceClass, SourceId, Timestamp};
-use std::sync::Mutex;
-
-static PUSHDOWN_LOCK: Mutex<()> = Mutex::new(());
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/explain_analyze.txt");
 
@@ -102,7 +96,6 @@ fn normalize(report: &str) -> String {
 
 #[test]
 fn explain_analyze_matches_golden() {
-    let _g = PUSHDOWN_LOCK.lock().unwrap();
     let h = vehicle_historian();
     let mut report = String::new();
     for (i, q) in QUERIES.iter().enumerate() {
@@ -131,51 +124,44 @@ fn attribution(report: &str, key: &str) -> u64 {
         .unwrap()
 }
 
-/// The PR's acceptance check: the same aggregate with pushdown enabled
-/// reports zero blob decodes from the registry; ablating pushdown drops
-/// to the vectorized path (which decodes every batch); ablating that too
-/// falls back to the row scan.
+/// The same aggregate shape reports zero blob decodes from the registry
+/// when summaries answer it; a tag predicate (true of every row) keeps
+/// summaries out, so vectorized execution decodes every batch; the row
+/// path decodes every batch too.
 #[test]
 fn pushdown_ablation_flips_registry_decode_attribution() {
-    let _g = PUSHDOWN_LOCK.lock().unwrap();
     let q = "select COUNT(*), AVG(speed), MAX(rpm) from vehicle_data_v";
+    let decoded = "select COUNT(*), AVG(speed), MAX(rpm) from vehicle_data_v where fuel > 0";
 
     let h = vehicle_historian();
     let report = h.explain_analyze(q).unwrap();
-    assert!(report.contains("op=aggregate_pushdown vehicle_data_v"), "{report}");
+    assert!(report.contains("op=vectorized_agg vehicle_data_v"), "{report}");
     assert_eq!(attribution(&report, "summary_answered_batches"), 24, "{report}");
     assert_eq!(attribution(&report, "blob_decodes"), 0, "{report}");
 
-    // Fresh historian (cold decode cache), pushdown ablated: vectorized
-    // execution takes over and decodes every one of the 24 sealed batches.
+    // Fresh historian (cold decode cache), summaries ruled out by the tag
+    // predicate: vectorized execution decodes every one of the 24 sealed
+    // batches.
     let h = vehicle_historian();
-    odh_sql::set_aggregate_pushdown(false);
-    let report = h.explain_analyze(q);
-    odh_sql::set_aggregate_pushdown(true);
-    let report = report.unwrap();
+    let report = h.explain_analyze(decoded).unwrap();
     assert!(report.contains("op=vectorized_agg vehicle_data_v"), "{report}");
     assert_eq!(attribution(&report, "summary_answered_batches"), 0, "{report}");
     assert_eq!(attribution(&report, "blob_decodes"), 24, "{report}");
 
-    // Both ablated: the original row path, same decode bill.
+    // Vectorized execution off: the row path, same decode bill.
     let h = vehicle_historian();
-    odh_sql::set_aggregate_pushdown(false);
-    odh_sql::set_vectorized(false);
-    let report = h.explain_analyze(q);
-    odh_sql::set_aggregate_pushdown(true);
-    odh_sql::set_vectorized(true);
-    let report = report.unwrap();
+    h.set_vectorized(false);
+    let report = h.explain_analyze(q).unwrap();
     assert!(report.contains("op=scan vehicle_data_v"), "{report}");
     assert_eq!(attribution(&report, "summary_answered_batches"), 0, "{report}");
     assert_eq!(attribution(&report, "blob_decodes"), 24, "{report}");
 }
 
-/// Tentpole acceptance: `time_bucket` whose buckets are covered by whole
-/// batches answers from seal-time summaries — zero blob decodes — and
-/// the vectorized profile reports batch/selectivity attribution.
+/// `time_bucket` whose buckets are covered by whole batches answers from
+/// seal-time summaries — zero blob decodes — and the vectorized profile
+/// reports batch/selectivity attribution.
 #[test]
 fn time_bucket_over_covered_batches_decodes_nothing() {
-    let _g = PUSHDOWN_LOCK.lock().unwrap();
     let h = vehicle_historian();
     let report = h
         .explain_analyze(
@@ -183,17 +169,14 @@ fn time_bucket_over_covered_batches_decodes_nothing() {
              group by time_bucket(16000000, timestamp)",
         )
         .unwrap();
-    assert!(report.contains("op=bucket_pushdown vehicle_data_v"), "{report}");
-    assert!(report.contains("buckets=6"), "{report}");
+    assert!(report.contains("op=vectorized_agg vehicle_data_v rows=6"), "{report}");
+    assert!(report.contains("batches=24"), "{report}");
     assert_eq!(attribution(&report, "summary_answered_batches"), 24, "{report}");
     assert_eq!(attribution(&report, "blob_decodes"), 0, "{report}");
 
-    // The vectorized fallback (pushdown ablated) reports batch counts
-    // and selection-vector selectivity in its operator line.
-    let h = vehicle_historian();
-    odh_sql::set_aggregate_pushdown(false);
+    // A shape summaries cannot answer (LAST) reports batch counts and
+    // selection-vector selectivity in its operator line too.
     let report = h.explain_analyze("select id, LAST(speed) from vehicle_data_v group by id");
-    odh_sql::set_aggregate_pushdown(true);
     let report = report.unwrap();
     assert!(report.contains("op=vectorized_agg vehicle_data_v"), "{report}");
     assert!(report.contains("batches="), "{report}");

@@ -9,11 +9,6 @@ use odh_sql::SqlEngine;
 use odh_storage::{DeletePredicate, TableConfig};
 use odh_types::{Datum, Record, RelSchema, Row, SchemaType, SourceClass, SourceId, Timestamp};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serializes tests that flip the process-global execution toggles
-/// (vectorized / aggregate pushdown) so legs never interleave.
-static TOGGLE: Mutex<()> = Mutex::new(());
 
 /// Row-set equality with a relative tolerance on floats: SUM/AVG may
 /// associate differently between the row-at-a-time and vectorized paths.
@@ -86,8 +81,7 @@ fn write_stream(h: &Historian, stream: impl IntoIterator<Item = (u64, i64, f64, 
 /// Two historians must be observationally identical on every execution
 /// tier: full scans compared as multisets (equal-timestamp rows may
 /// legally reorder with batch layout), aggregates and `time_bucket` folds
-/// with float tolerance. The caller holds `TOGGLE`; toggles are left on
-/// the last tier — the caller restores the defaults.
+/// with float tolerance. Both are left on the vectorized tier.
 fn equivalence_check(a: &Historian, b: &Historian) -> Result<(), String> {
     let scan = "select id, timestamp, v from p_v";
     let agg = "select COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v) from p_v";
@@ -97,10 +91,10 @@ fn equivalence_check(a: &Historian, b: &Historian) -> Result<(), String> {
         rows.sort_by_key(|r| format!("{r:?}"));
         rows.into_iter().map(|r| format!("{r:?}")).collect()
     };
-    for (pushdown, vectorized) in [(true, true), (false, true), (false, false)] {
-        odh_sql::set_aggregate_pushdown(pushdown);
-        odh_sql::set_vectorized(vectorized);
-        let tier = format!("pushdown={pushdown} vectorized={vectorized}");
+    for vectorized in [false, true] {
+        a.set_vectorized(vectorized);
+        b.set_vectorized(vectorized);
+        let tier = format!("vectorized={vectorized}");
         let (sa, sb) = (a.sql(scan).unwrap().rows, b.sql(scan).unwrap().rows);
         if sorted(sa.clone()) != sorted(sb.clone()) {
             return Err(format!("{tier}: scans differ:\n  {sa:?}\n  {sb:?}"));
@@ -174,9 +168,10 @@ proptest! {
         }
     }
 
-    /// Aggregates answered by summary pushdown must equal a naive fold of
-    /// the stream — i.e. exactly what the full-decode row path computes —
-    /// over arbitrary streams and windows (covered, clipping, empty).
+    /// Aggregates answered from summaries must equal a naive fold of the
+    /// stream — i.e. exactly what the full-decode row path computes —
+    /// over arbitrary streams and windows (covered, clipping, empty,
+    /// exclusive bounds on batch edges).
     #[test]
     fn aggregate_pushdown_matches_full_decode(
         stream in arb_stream(),
@@ -200,32 +195,46 @@ proptest! {
         h.flush().unwrap();
 
         let (t1, t2) = (win.0, win.0 + win.1);
-        let in_win: Vec<&(u64, i64, f64, bool)> =
-            stream.iter().filter(|(_, ts, _, _)| (t1..=t2).contains(ts)).collect();
-        let non_null: Vec<f64> =
-            in_win.iter().filter(|(_, _, _, null)| !null).map(|(_, _, v, _)| *v).collect();
-        let r = h
-            .sql(&format!(
-                "select COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v) from p_v \
-                 where timestamp between '{}' and '{}'",
-                Timestamp(t1),
-                Timestamp(t2)
-            ))
-            .unwrap();
-        let row = &r.rows[0];
-        prop_assert_eq!(row.get(0), &Datum::I64(in_win.len() as i64));
-        prop_assert_eq!(row.get(1), &Datum::I64(non_null.len() as i64));
-        if non_null.is_empty() {
-            prop_assert_eq!(row.get(2), &Datum::Null);
-            prop_assert_eq!(row.get(3), &Datum::Null);
-            prop_assert_eq!(row.get(4), &Datum::Null);
-        } else {
-            let sum: f64 = non_null.iter().sum();
-            let min = non_null.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = non_null.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!((row.get(2).as_f64().unwrap() - sum).abs() < 1e-6);
-            prop_assert_eq!(row.get(3).as_f64().unwrap(), min);
-            prop_assert_eq!(row.get(4).as_f64().unwrap(), max);
+        // Exclusive bounds on batch edges: a source's first sealed batch
+        // holds its first 8 writes, so their least and greatest
+        // timestamps are where that batch begins and ends. `> begin` and
+        // `< end` leave the batch one row short of covered, so only an
+        // exact bound keeps its summary out.
+        let first_batch = (0..4u64)
+            .map(|id| stream.iter().filter(|r| r.0 == id).take(8).map(|r| r.1).collect::<Vec<_>>())
+            .find(|ts| ts.len() == 8);
+        let (begin, end) = first_batch
+            .map_or((t1, t2), |ts| (*ts.iter().min().unwrap(), *ts.iter().max().unwrap()));
+        for (clause, lo, hi) in [
+            (format!("between '{}' and '{}'", Timestamp(t1), Timestamp(t2)), t1, t2),
+            (format!("> '{}'", Timestamp(begin)), begin + 1, i64::MAX),
+            (format!("< '{}'", Timestamp(end)), i64::MIN, end - 1),
+        ] {
+            let in_win: Vec<&(u64, i64, f64, bool)> =
+                stream.iter().filter(|(_, ts, _, _)| (lo..=hi).contains(ts)).collect();
+            let non_null: Vec<f64> =
+                in_win.iter().filter(|(_, _, _, null)| !null).map(|(_, _, v, _)| *v).collect();
+            let r = h
+                .sql(&format!(
+                    "select COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v) from p_v \
+                     where timestamp {clause}"
+                ))
+                .unwrap();
+            let row = &r.rows[0];
+            prop_assert_eq!(row.get(0), &Datum::I64(in_win.len() as i64), "{}", clause);
+            prop_assert_eq!(row.get(1), &Datum::I64(non_null.len() as i64), "{}", clause);
+            if non_null.is_empty() {
+                prop_assert_eq!(row.get(2), &Datum::Null);
+                prop_assert_eq!(row.get(3), &Datum::Null);
+                prop_assert_eq!(row.get(4), &Datum::Null);
+            } else {
+                let sum: f64 = non_null.iter().sum();
+                let min = non_null.iter().cloned().fold(f64::INFINITY, f64::min);
+                let max = non_null.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                prop_assert!((row.get(2).as_f64().unwrap() - sum).abs() < 1e-6, "{}", clause);
+                prop_assert_eq!(row.get(3).as_f64().unwrap(), min);
+                prop_assert_eq!(row.get(4).as_f64().unwrap(), max);
+            }
         }
         // Per-source historical aggregates take the key-range walk.
         for id in 0..4u64 {
@@ -406,13 +415,11 @@ proptest! {
                  from t group by time_bucket_gapfill({bucket}, ts)"
             ),
         ];
-        let _g = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
         for q in &queries {
-            odh_sql::set_vectorized(true);
+            engine.set_vectorized(true);
             let vec_r = engine.query(q);
-            odh_sql::set_vectorized(false);
+            engine.set_vectorized(false);
             let row_r = engine.query(q);
-            odh_sql::set_vectorized(true);
             let (vec_r, row_r) = (vec_r.unwrap(), row_r.unwrap());
             prop_assert!(
                 rows_close(&vec_r.rows, &row_r.rows),
@@ -422,10 +429,11 @@ proptest! {
         }
     }
 
-    /// `time_bucket` over the historian must agree across all three
-    /// execution tiers — summary pushdown, vectorized decode, row-at-a-time
-    /// decode — and match a naive per-bucket fold of the raw stream,
-    /// whether buckets are summary-covered or straddle batch boundaries.
+    /// `time_bucket` over the historian must agree across both execution
+    /// tiers — vectorized (summaries where batches are covered, decode
+    /// elsewhere) and row-at-a-time decode — and match a naive per-bucket
+    /// fold of the raw stream, whether buckets are summary-covered or
+    /// straddle batch boundaries.
     #[test]
     fn time_bucket_pushdown_matches_decode_paths(
         stream in arb_stream(),
@@ -459,25 +467,12 @@ proptest! {
             Timestamp(t1),
             Timestamp(t2)
         );
-        let _g = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-        odh_sql::set_aggregate_pushdown(true);
-        odh_sql::set_vectorized(true);
-        let pushed = h.sql(&sql);
-        odh_sql::set_aggregate_pushdown(false);
-        let vectorized = h.sql(&sql);
-        odh_sql::set_vectorized(false);
-        let row = h.sql(&sql);
-        odh_sql::set_vectorized(true);
-        odh_sql::set_aggregate_pushdown(true);
-        drop(_g);
-        let (pushed, vectorized, row) = (pushed.unwrap(), vectorized.unwrap(), row.unwrap());
+        let vectorized = h.sql(&sql).unwrap();
+        h.set_vectorized(false);
+        let row = h.sql(&sql).unwrap();
         prop_assert!(
-            rows_close(&pushed.rows, &vectorized.rows),
-            "pushdown {:?} != vectorized {:?}", pushed.rows, vectorized.rows
-        );
-        prop_assert!(
-            rows_close(&pushed.rows, &row.rows),
-            "pushdown {:?} != row path {:?}", pushed.rows, row.rows
+            rows_close(&vectorized.rows, &row.rows),
+            "vectorized {:?} != row path {:?}", vectorized.rows, row.rows
         );
         // Naive model: bucket starts and COUNT(*) from the raw stream.
         let mut naive: std::collections::BTreeMap<i64, i64> = std::collections::BTreeMap::new();
@@ -486,8 +481,8 @@ proptest! {
                 *naive.entry(ts.div_euclid(interval) * interval).or_default() += 1;
             }
         }
-        prop_assert_eq!(pushed.rows.len(), naive.len());
-        for (r, (b, n)) in pushed.rows.iter().zip(&naive) {
+        prop_assert_eq!(vectorized.rows.len(), naive.len());
+        for (r, (b, n)) in vectorized.rows.iter().zip(&naive) {
             prop_assert_eq!(r.get(0), &Datum::Ts(Timestamp(*b)));
             prop_assert_eq!(r.get(1), &Datum::I64(*n));
         }
@@ -496,9 +491,8 @@ proptest! {
     /// Generational compaction is invisible to queries: scans, window
     /// aggregates, and time_bucket folds return the same answers before
     /// and after a compaction pass (including cold demotion of old
-    /// generations), across all three execution tiers — summary
-    /// pushdown, vectorized decode, row-at-a-time decode — on random
-    /// fragmented tables.
+    /// generations), across both execution tiers — vectorized (summaries
+    /// or decode) and row-at-a-time decode — on random fragmented tables.
     #[test]
     fn compaction_preserves_query_results(
         stream in arb_stream(),
@@ -547,14 +541,12 @@ proptest! {
             Timestamp(t1),
             Timestamp(t2)
         );
-        let tiers = [(true, true), (false, true), (false, false)];
-        let _g = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        let tiers = [true, false];
         let run = |sql: &str| -> Vec<Vec<Row>> {
             tiers
                 .iter()
-                .map(|&(pushdown, vectorized)| {
-                    odh_sql::set_aggregate_pushdown(pushdown);
-                    odh_sql::set_vectorized(vectorized);
+                .map(|&vectorized| {
+                    h.set_vectorized(vectorized);
                     h.sql(sql).unwrap().rows
                 })
                 .collect()
@@ -573,17 +565,14 @@ proptest! {
         let scan_after = run(&scan_sql);
         let agg_after = run(&agg_sql);
         let bucket_after = run(&bucket_sql);
-        odh_sql::set_aggregate_pushdown(true);
-        odh_sql::set_vectorized(true);
-        drop(_g);
 
-        for (i, (&(pushdown, vectorized), (before, after))) in
+        for (i, (&vectorized, (before, after))) in
             tiers.iter().zip(scan_before.into_iter().zip(scan_after)).enumerate()
         {
             prop_assert_eq!(
                 sorted(before),
                 sorted(after),
-                "tier {i} (pushdown={pushdown} vectorized={vectorized}): scan changed"
+                "tier {i} (vectorized={vectorized}): scan changed"
             );
         }
         for (i, (before, after)) in agg_before.iter().zip(&agg_after).enumerate() {
@@ -604,7 +593,7 @@ proptest! {
     /// deterministic scenario matrix): an arbitrary permutation of the
     /// stream — including arrivals far behind the seal watermark, which
     /// take the side-buffer path — must converge to the same queryable
-    /// state as time-ordered ingest, across all three execution tiers,
+    /// state as time-ordered ingest, across both execution tiers,
     /// before and after a compaction pass (with cold demotion enabled).
     #[test]
     fn shuffled_and_late_ingest_equals_ordered_ingest(
@@ -618,14 +607,10 @@ proptest! {
         let hostile = hostile_historian();
         write_stream(&hostile, permutation(stream.len(), seed).into_iter().map(|i| stream[i]));
 
-        let _g = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
         let pre = equivalence_check(&ordered, &hostile);
         ordered.compact().unwrap();
         hostile.compact().unwrap();
         let post = equivalence_check(&ordered, &hostile);
-        odh_sql::set_aggregate_pushdown(true);
-        odh_sql::set_vectorized(true);
-        drop(_g);
         if let Err(why) = pre {
             panic!("pre-compaction: {why}");
         }
@@ -637,7 +622,7 @@ proptest! {
     /// Tombstone equivalence: deleting `[t1, t2]` must leave the system
     /// observationally identical to never having written those rows —
     /// masked reads before compaction, physically resolved after it —
-    /// across all three execution tiers.
+    /// across both execution tiers.
     #[test]
     fn tombstoned_rows_equal_never_inserted_rows(
         stream in arb_stream(),
@@ -653,14 +638,10 @@ proptest! {
             stream.iter().copied().filter(|&(_, ts, _, _)| !(t1..=t2).contains(&ts)),
         );
 
-        let _g = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
         let pre = equivalence_check(&full, &sparse);
         full.compact().unwrap();
         sparse.compact().unwrap();
         let post = equivalence_check(&full, &sparse);
-        odh_sql::set_aggregate_pushdown(true);
-        odh_sql::set_vectorized(true);
-        drop(_g);
         if let Err(why) = pre {
             panic!("masked (pre-compaction): {why}");
         }
