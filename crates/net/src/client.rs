@@ -2,16 +2,18 @@
 //!
 //! One `NetClient` is one session: single-threaded, credit-throttled,
 //! reusing one encode buffer and one read buffer across every frame.
-//! Sends block when the server's credit window is exhausted
-//! ([`ClientStats::backpressure_waits`] counts those stalls) and
-//! otherwise drain acks opportunistically so latency accounting stays
-//! close to the wire.
+//! After every send the client consumes each ack already waiting in its
+//! socket without blocking, so [`NetClient::acked_seq`], the credit grant
+//! and the ack-latency samples move as acks arrive. It blocks only when
+//! the credit window is exhausted ([`ClientStats::backpressure_waits`]
+//! counts those stalls) and in [`NetClient::wait_all_acked`] and
+//! [`NetClient::finish`].
 
 use crate::frame::{self, Frame, ReadStatus, WIRE_VERSION};
 use odh_obs::Histogram;
 use odh_types::{OdhError, Record, Result};
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -51,12 +53,10 @@ pub struct NetClient {
     rd_buf: Vec<u8>,
     /// (seq, send instant) of unacked frames, for latency accounting.
     inflight: VecDeque<(u64, Instant)>,
-    initial_window: u32,
     pub stats: ClientStats,
 }
 
 const BLOCKING_TIMEOUT: Duration = Duration::from_secs(30);
-const DRAIN_TIMEOUT: Duration = Duration::from_millis(1);
 // Mid-frame stall tolerance, in read-timeout units.
 const IDLE_BUDGET: u32 = 1000;
 
@@ -76,13 +76,12 @@ impl NetClient {
             enc_buf: Vec::new(),
             rd_buf: Vec::new(),
             inflight: VecDeque::new(),
-            initial_window: 0,
             stats: ClientStats::default(),
         };
         c.enc_buf.clear();
         frame::encode_hello(&mut c.enc_buf, ntags as u16, schema);
         c.stream.write_all(&c.enc_buf)?;
-        match c.read_one(true)? {
+        match c.read_one()? {
             Some(Reply::HelloOk { version, credit }) => {
                 if version != WIRE_VERSION {
                     return Err(OdhError::Unsupported(format!(
@@ -90,7 +89,6 @@ impl NetClient {
                     )));
                 }
                 c.granted = credit as u64;
-                c.initial_window = credit;
                 Ok(c)
             }
             Some(Reply::Ack) | Some(Reply::Bye) => {
@@ -118,26 +116,12 @@ impl NetClient {
     /// Encode and send `records` as one batch frame. Blocks while the
     /// credit window is exhausted. Returns the frame's seq.
     pub fn send_batch(&mut self, records: &[Record]) -> Result<u64> {
-        while self.credit() == 0 {
-            self.stats.backpressure_waits += 1;
-            if self.read_one(true)?.is_none() {
-                return Err(OdhError::Io("timed out waiting for credit".into()));
-            }
-        }
+        self.wait_credit()?;
         let seq = self.next_seq;
         self.enc_buf.clear();
         frame::encode_batch(&mut self.enc_buf, seq, self.ntags, records)?;
         self.stream.write_all(&self.enc_buf)?;
-        self.next_seq += 1;
-        self.inflight.push_back((seq, Instant::now()));
-        self.stats.frames_sent += 1;
-        self.stats.rows_sent += records.len() as u64;
-        self.stats.bytes_sent += self.enc_buf.len() as u64;
-        // Opportunistically drain buffered acks once the window is half
-        // spent, so latency samples are taken near arrival time.
-        if self.credit() <= (self.initial_window / 2) as u64 {
-            self.drain_available()?;
-        }
+        self.sent(seq, records.len() as u64, self.enc_buf.len())?;
         Ok(seq)
     }
 
@@ -159,28 +143,41 @@ impl NetClient {
                 self.next_seq
             )));
         }
+        self.wait_credit()?;
+        self.stream.write_all(bytes)?;
+        self.sent(seq, rows, bytes.len())?;
+        Ok(seq)
+    }
+
+    /// Block while the credit window is exhausted.
+    fn wait_credit(&mut self) -> Result<()> {
         while self.credit() == 0 {
             self.stats.backpressure_waits += 1;
-            if self.read_one(true)?.is_none() {
+            if self.read_one()?.is_none() {
                 return Err(OdhError::Io("timed out waiting for credit".into()));
             }
         }
-        self.stream.write_all(bytes)?;
+        Ok(())
+    }
+
+    /// Account for frame `seq` just written, then consume every ack that
+    /// has already arrived.
+    fn sent(&mut self, seq: u64, rows: u64, bytes: usize) -> Result<()> {
         self.next_seq += 1;
         self.inflight.push_back((seq, Instant::now()));
         self.stats.frames_sent += 1;
         self.stats.rows_sent += rows;
-        self.stats.bytes_sent += bytes.len() as u64;
-        if self.credit() <= (self.initial_window / 2) as u64 {
-            self.drain_available()?;
+        self.stats.bytes_sent += bytes as u64;
+        while self.frame_arriving()? {
+            self.read_one()?;
         }
-        Ok(seq)
+        Ok(())
     }
 
     /// Block until every sent frame is acked (without closing).
     pub fn wait_all_acked(&mut self) -> Result<()> {
         while self.acked_seq + 1 < self.next_seq {
-            if self.read_one(true)?.is_none() {
+            if self.read_one()?.is_none() {
                 return Err(OdhError::Io("timed out waiting for ack".into()));
             }
         }
@@ -194,7 +191,7 @@ impl NetClient {
         frame::encode_bye(&mut self.enc_buf);
         self.stream.write_all(&self.enc_buf)?;
         loop {
-            match self.read_one(true)? {
+            match self.read_one()? {
                 Some(Reply::Bye) => break,
                 Some(_) => {}
                 None => return Err(OdhError::Io("timed out waiting for BYE_OK".into())),
@@ -203,23 +200,25 @@ impl NetClient {
         Ok(ClientReport { acked_seq: self.acked_seq, stats: self.stats })
     }
 
-    /// Read frames until the socket has nothing buffered.
-    fn drain_available(&mut self) -> Result<()> {
-        self.stream.set_read_timeout(Some(DRAIN_TIMEOUT))?;
-        let r = loop {
-            match self.read_one(false) {
-                Ok(Some(_)) => continue,
-                Ok(None) => break Ok(()),
-                Err(e) => break Err(e),
+    /// Whether a server frame (or EOF) has started arriving, probed
+    /// without blocking. The frame itself is then read in blocking mode,
+    /// so a frame that arrives in pieces is waited for, not mistaken for
+    /// a stalled peer.
+    fn frame_arriving(&self) -> Result<bool> {
+        self.stream.set_nonblocking(true)?;
+        let probe = self.stream.peek(&mut [0u8; 1]);
+        self.stream.set_nonblocking(false)?;
+        match probe {
+            Ok(_) => Ok(true),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                Ok(false)
             }
-        };
-        self.stream.set_read_timeout(Some(BLOCKING_TIMEOUT))?;
-        r
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Read and process one server frame. `Ok(None)` = idle timeout.
-    /// `expect_blocking` only affects which timeout produced the idle.
-    fn read_one(&mut self, _expect_blocking: bool) -> Result<Option<Reply>> {
+    fn read_one(&mut self) -> Result<Option<Reply>> {
         let mut buf = std::mem::take(&mut self.rd_buf);
         let st = frame::read_frame(&mut self.stream, &mut buf, IDLE_BUDGET);
         self.rd_buf = buf;
@@ -266,4 +265,115 @@ enum Reply {
     Ack,
     HelloOk { version: u16, credit: u32 },
     Bye,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use odh_types::{SourceId, Timestamp};
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+    use std::thread;
+
+    const WINDOW: u32 = 64;
+
+    fn records() -> Vec<Record> {
+        vec![Record::new(SourceId(1), Timestamp(1), vec![Some(1.0)])]
+    }
+
+    /// A scripted server: handshake with a 64-frame window, then for each
+    /// frame seq 1, 2, ... read the BATCH and hand its ACK to `ack`, which
+    /// writes it when and how the test wants.
+    fn fake_server(
+        frames: u64,
+        mut ack: impl FnMut(&mut TcpStream, u64, &[u8]) + Send + 'static,
+    ) -> (SocketAddr, thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let h = thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let (mut rd, mut wr) = (Vec::new(), Vec::new());
+            let mut read = |s: &mut TcpStream| {
+                let st = frame::read_frame(s, &mut rd, IDLE_BUDGET).unwrap();
+                assert!(matches!(st, ReadStatus::Frame(_)));
+            };
+            read(&mut s);
+            frame::encode_hello_ok(&mut wr, WINDOW);
+            s.write_all(&wr).unwrap();
+            for seq in 1..=frames {
+                read(&mut s);
+                wr.clear();
+                frame::encode_ack(&mut wr, seq, 1, 0, 0);
+                ack(&mut s, seq, &wr);
+            }
+            // Hold the socket open until the client hangs up.
+            while let Ok(ReadStatus::Frame(_)) = frame::read_frame(&mut s, &mut rd, IDLE_BUDGET) {}
+        });
+        (addr, h)
+    }
+
+    fn frame2() -> Vec<u8> {
+        let mut buf = Vec::new();
+        frame::encode_batch(&mut buf, 2, 1, &records()).unwrap();
+        buf
+    }
+
+    #[test]
+    fn send_consumes_acks_already_arrived() {
+        let ((tx, rx), (go_tx, go_rx)) = (mpsc::channel(), mpsc::channel());
+        let (addr, server) = fake_server(2, move |s, seq, ack| {
+            if seq == 2 {
+                go_rx.recv().unwrap();
+            }
+            s.write_all(ack).unwrap();
+            if seq == 1 {
+                tx.send(()).unwrap();
+            }
+        });
+        let mut c = NetClient::connect(addr, "m", 1).unwrap();
+        assert_eq!(c.send_batch(&records()).unwrap(), 1);
+        rx.recv().unwrap();
+        // Loopback delivers on write; the pause only guards slow hosts.
+        thread::sleep(Duration::from_millis(20));
+        // Credit is 62 of 64 after this send: far from exhausted, yet the
+        // ack for seq 1 must already be consumed.
+        assert_eq!(c.send_encoded(&frame2(), 1).unwrap(), 2);
+        assert_eq!(c.acked_seq(), 1);
+        assert_eq!(c.stats.ack_latency_us.count(), 1);
+        assert_eq!(c.credit(), WINDOW as u64 + 1 - 2);
+        go_tx.send(()).unwrap();
+        c.wait_all_acked().unwrap();
+        drop(c);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn ack_arriving_in_pieces_is_read_whole() {
+        let ((tx, rx), (go_tx, go_rx)) = (mpsc::channel(), mpsc::channel());
+        let (addr, server) = fake_server(2, move |s, seq, ack| {
+            if seq == 1 {
+                s.write_all(&ack[..5]).unwrap();
+                tx.send(()).unwrap();
+                thread::sleep(Duration::from_millis(100));
+                s.write_all(&ack[5..]).unwrap();
+            } else {
+                go_rx.recv().unwrap();
+                s.write_all(ack).unwrap();
+            }
+        });
+        let mut c = NetClient::connect(addr, "m", 1).unwrap();
+        c.send_batch(&records()).unwrap();
+        rx.recv().unwrap();
+        thread::sleep(Duration::from_millis(20));
+        // The first five bytes of ACK 1 are in the socket; the drain must
+        // wait for the rest instead of failing or dropping the frame.
+        c.send_encoded(&frame2(), 1).unwrap();
+        assert_eq!(c.acked_seq(), 1);
+        go_tx.send(()).unwrap();
+        c.wait_all_acked().unwrap();
+        assert_eq!(c.acked_seq(), 2);
+        assert_eq!(c.stats.acks_received, 2);
+        drop(c);
+        server.join().unwrap();
+    }
 }
