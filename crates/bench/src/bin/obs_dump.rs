@@ -87,6 +87,7 @@ fn print_net_attribution(h: &Historian) {
         "odh_net_bytes_written_total",
         "odh_net_acks_total",
         "odh_net_commits_total",
+        "odh_net_commit_retry_rounds_total",
         "odh_net_backpressure_events_total",
         "odh_net_errors_total",
     ] {

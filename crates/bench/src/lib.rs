@@ -308,7 +308,7 @@ pub fn parse_threads_arg() -> Option<Vec<usize>> {
 /// fresh two-server in-memory cluster with `mg_group_size = 1` so the
 /// group-based partition spreads the 1000 accounts across all workers.
 /// With `durable` each server also carries a write-ahead log (heap-backed
-/// `MemLog`, so the delta versus the plain cluster is the WAL code path —
+/// `MemLogDir`, so the delta versus the plain cluster is the WAL code path —
 /// frame encode, stripe locking, group commit — not device latency).
 fn ingest_bench_cluster(spec: &TdSpec, durable: bool) -> Result<Arc<odh_core::Cluster>> {
     let cluster = if durable {

@@ -30,7 +30,7 @@ use odh_core::{Cluster, Historian};
 use odh_net::{frame, ColScratch, NetClient, NetServer, NetServerConfig};
 use odh_obs::Histogram;
 use odh_pager::disk::MemDisk;
-use odh_pager::log::MemLog;
+use odh_pager::log::MemLogDir;
 use odh_pager::{FailDisk, FailWal, FaultMode, FaultPlan};
 use odh_sim::ResourceMeter;
 use odh_storage::TableConfig;
@@ -344,7 +344,7 @@ pub fn net_fault_bench(seed: u64) -> (u64, u64) {
     const SOURCES: u64 = 4;
     let plan = FaultPlan::new(seed, FaultMode::Kill, 260);
     let mem_disk = Arc::new(MemDisk::new());
-    let mem_log = Arc::new(MemLog::new());
+    let mem_log = Arc::new(MemLogDir::new());
     let disk = Arc::new(FailDisk::new(mem_disk.clone(), plan.clone()));
     let log = Arc::new(FailWal::new(mem_log.clone(), plan.clone()));
     let meter = ResourceMeter::unmetered();

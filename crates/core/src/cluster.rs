@@ -87,7 +87,7 @@ impl Cluster {
         })
     }
 
-    /// In-memory cluster with per-server WALs over [`odh_pager::log::MemLog`]
+    /// In-memory cluster with per-server WALs over [`odh_pager::log::MemLogDir`]
     /// — the crash-recovery tests' and the WAL benchmarks' configuration
     /// (heap-backed media survive as long as their `Arc`s do).
     pub fn in_memory_durable(n_servers: usize, meter: Arc<ResourceMeter>) -> Result<Arc<Cluster>> {
@@ -99,7 +99,7 @@ impl Cluster {
                     meter.clone(),
                     Arc::new(odh_pager::disk::MemDisk::new()),
                     crate::server::DEFAULT_POOL_FRAMES,
-                    Arc::new(odh_pager::log::MemLog::new()),
+                    Arc::new(odh_pager::log::MemLogDir::new()),
                 )?))
             })
             .collect::<Result<Vec<_>>>()?;

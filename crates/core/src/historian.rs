@@ -70,8 +70,9 @@ impl HistorianBuilder {
     }
 
     /// Force crash durability on or off. Defaults to **on** for
-    /// disk-backed historians (each server gets a `server<N>.wal` next to
-    /// its `server<N>.pages`) and **off** for in-memory ones.
+    /// disk-backed historians (each server gets a `server<N>.wal/` segment
+    /// directory next to its `server<N>.pages`) and **off** for in-memory
+    /// ones.
     pub fn durable(mut self, on: bool) -> Self {
         self.durable = Some(on);
         self
@@ -92,7 +93,7 @@ impl HistorianBuilder {
                                 meter.clone(),
                                 disk,
                                 self.pool_frames,
-                                Arc::new(odh_pager::log::MemLog::new()),
+                                Arc::new(odh_pager::log::MemLogDir::new()),
                             )?)
                         } else {
                             Arc::new(DataServer::with_disk(
@@ -109,7 +110,7 @@ impl HistorianBuilder {
                             dir.join(format!("server{i}.pages")),
                         )?);
                         if durable {
-                            let log = Arc::new(odh_pager::log::FileLog::create(
+                            let log = Arc::new(odh_pager::log::FileLogDir::open(
                                 dir.join(format!("server{i}.wal")),
                             )?);
                             Arc::new(DataServer::with_disk_wal(
@@ -146,10 +147,11 @@ impl Default for HistorianBuilder {
 impl Historian {
     /// Reopen a historian from a directory of checkpointed server files
     /// (`server<N>.pages`, as written by [`HistorianBuilder::disk_dir`] +
-    /// [`Historian::checkpoint`]). Relational tables are not persisted —
-    /// only operational data is (the paper's historian owns the
-    /// operational side; dimension tables live in the host RDBMS and are
-    /// reloaded by the application).
+    /// [`Historian::checkpoint`]). A server with a `server<N>.wal/` segment
+    /// directory is recovered from its checkpoint plus the log. Relational
+    /// tables are not persisted — only operational data is (the paper's
+    /// historian owns the operational side; dimension tables live in the
+    /// host RDBMS and are reloaded by the application).
     pub fn open(dir: impl Into<PathBuf>, cores: u32) -> Result<Historian> {
         let dir = dir.into();
         let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)?
@@ -176,7 +178,7 @@ impl Historian {
             let wal_path = p.with_extension("wal");
             servers.push(Arc::new(if wal_path.exists() {
                 // Crash recovery: restore the checkpoint, replay the log.
-                let log = Arc::new(odh_pager::log::FileLog::open(&wal_path)?);
+                let log = Arc::new(odh_pager::log::FileLogDir::open(&wal_path)?);
                 DataServer::open_with_wal(
                     i,
                     meter.clone(),

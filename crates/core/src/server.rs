@@ -14,7 +14,7 @@
 //! skipped, and a torn or corrupt tail is truncated with a warning.
 
 use odh_pager::disk::{DiskManager, FileDisk, MemDisk};
-use odh_pager::log::LogStore;
+use odh_pager::log::LogDir;
 use odh_pager::page::{get_u32, get_u64, put_u32, put_u64, PageId, NO_PAGE, PAGE_SIZE};
 use odh_pager::pool::BufferPool;
 use odh_sim::ResourceMeter;
@@ -103,14 +103,15 @@ impl DataServer {
         DataServer { id, pool, meter, tables: RwLock::new(HashMap::new()), wal: None }
     }
 
-    /// Fresh server with a write-ahead log: the log is truncated and every
-    /// subsequent mutation is logged before it is applied.
+    /// Fresh server with a write-ahead log in the segment directory `log`:
+    /// existing segments are discarded and every subsequent mutation is
+    /// logged before it is applied.
     pub fn with_disk_wal(
         id: usize,
         meter: Arc<ResourceMeter>,
         disk: Arc<dyn DiskManager>,
         frames: usize,
-        log: Arc<dyn LogStore>,
+        log: Arc<dyn LogDir>,
     ) -> Result<DataServer> {
         let mut server = Self::with_disk(id, meter.clone(), disk, frames);
         RecoveryObs::new(&meter, id); // catalog stability: counters exist at 0
@@ -140,7 +141,7 @@ impl DataServer {
         meter: Arc<ResourceMeter>,
         disk: Arc<dyn DiskManager>,
         frames: usize,
-        log: Arc<dyn LogStore>,
+        log: Arc<dyn LogDir>,
     ) -> Result<DataServer> {
         let (mut server, checkpoint_lsn) = Self::open_inner(id, meter.clone(), disk, frames)?;
         let obs = RecoveryObs::new(&meter, id);
@@ -355,8 +356,9 @@ impl DataServer {
     /// Without a WAL this flushes every table (sealing all buffers) and
     /// write-backs the pool. With one, the checkpoint is *lenient*: open
     /// ingest buffers stay open, the catalog snapshot excludes them, and
-    /// the WAL is truncated up to the oldest LSN still buffered — the tail
-    /// above it replays the buffers on recovery.
+    /// the WAL drops the log segments that hold nothing above the last
+    /// LSN before the oldest one still buffered — the segments kept replay
+    /// the buffers on recovery.
     ///
     /// Old chains are not reclaimed (the pager never frees pages); each
     /// checkpoint costs `ceil(catalog/8176)` pages, negligible next to the
@@ -384,9 +386,10 @@ impl DataServer {
                 self.write_catalog(safe)?;
                 self.pool.flush_all()?;
                 // Only after the superblock points at the new catalog is it
-                // safe to drop frames at or below `safe`. A crash in the
-                // truncation window leaves extra frames, which replay then
-                // skips (they're at or below the checkpoint LSN).
+                // safe to drop segments at or below `safe`. Nothing is
+                // rewritten: a crash part-way leaves extra segments, whose
+                // frames replay skips (they're at or below the checkpoint
+                // LSN).
                 wal.truncate_through(safe)
             }
         }

@@ -88,6 +88,9 @@ pub(crate) struct NetObs {
     pub bytes_written: Arc<Counter>,
     pub acks: Arc<Counter>,
     pub commits: Arc<Counter>,
+    /// Committer rounds re-run because the previous round left a session
+    /// uncovered (a subset of `commits`).
+    pub commit_retries: Arc<Counter>,
     pub backpressure: Arc<Counter>,
     pub errors: Arc<Counter>,
     pub decode_us: Arc<Histogram>,
@@ -105,6 +108,7 @@ impl NetObs {
             bytes_written: reg.counter("odh_net_bytes_written_total", &[]),
             acks: reg.counter("odh_net_acks_total", &[]),
             commits: reg.counter("odh_net_commits_total", &[]),
+            commit_retries: reg.counter("odh_net_commit_retry_rounds_total", &[]),
             backpressure: reg.counter("odh_net_backpressure_events_total", &[]),
             errors: reg.counter("odh_net_errors_total", &[]),
             decode_us: reg.histogram("odh_net_frame_decode_us", &[]),
@@ -655,6 +659,9 @@ fn committer_loop(inner: Arc<Inner>) {
                 return;
             }
             *dirty = false;
+        }
+        if retry {
+            inner.obs.commit_retries.inc();
         }
         retry = {
             let _lead = inner.commit_mu.lock().unwrap();

@@ -1,7 +1,10 @@
 //! Deterministic fault injection for crash-recovery tests.
 //!
-//! [`FailDisk`] and [`FailWal`] wrap a [`DiskManager`] / [`LogStore`] and
-//! kill I/O after a seeded number of operations. The failing write can
+//! [`FailDisk`] and [`FailWal`] wrap a [`DiskManager`] / [`LogDir`] and
+//! kill I/O after a seeded number of operations. A [`FailWal`] counts
+//! segment creation and removal as operations too, and wraps the segments
+//! it hands out so their appends, truncations and syncs count as well: a
+//! fault can land on any step of a WAL roll or checkpoint. The failing write can
 //! optionally be *torn* (a prefix of the bytes lands before the error) or
 //! *silently corrupted* (one bit flips and the write "succeeds") — the two
 //! tail states a recovering WAL must cope with. Every decision derives from
@@ -9,7 +12,7 @@
 //! byte-for-byte locally.
 
 use crate::disk::DiskManager;
-use crate::log::LogStore;
+use crate::log::{LogDir, LogStore};
 use crate::page::{PageId, PAGE_SIZE};
 use odh_types::{OdhError, Result};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,6 +40,7 @@ pub struct FaultPlan {
     dead: AtomicBool,
     triggered: AtomicBool,
     draws: AtomicU64,
+    ops: AtomicU64,
 }
 
 enum Verdict {
@@ -54,6 +58,7 @@ impl FaultPlan {
             dead: AtomicBool::new(false),
             triggered: AtomicBool::new(false),
             draws: AtomicU64::new(0),
+            ops: AtomicU64::new(0),
         })
     }
 
@@ -65,6 +70,21 @@ impl FaultPlan {
     /// Did the fault fire yet?
     pub fn triggered(&self) -> bool {
         self.triggered.load(Ordering::Acquire)
+    }
+
+    /// Operations counted so far (faulted and dead ones included). A
+    /// benign run of a deterministic workload reads this to find the
+    /// index of the step a fault should land on.
+    pub fn ops(&self) -> u64 {
+        self.ops.load(Ordering::Acquire)
+    }
+
+    /// Re-arm the plan: the `ops_before_fault`-th operation from now
+    /// triggers the mode (a benign plan armed mid-run puts a fault at a
+    /// chosen step of a workload).
+    pub fn arm(&self, ops_before_fault: u64) {
+        self.dead.store(false, Ordering::Release);
+        self.remaining.store(ops_before_fault, Ordering::Release);
     }
 
     /// Disarm the plan — recovery reopens the same device fault-free.
@@ -83,6 +103,7 @@ impl FaultPlan {
     }
 
     fn tick(&self) -> Verdict {
+        self.ops.fetch_add(1, Ordering::AcqRel);
         if self.dead.load(Ordering::Acquire) {
             return Verdict::Dead;
         }
@@ -162,19 +183,72 @@ impl DiskManager for FailDisk {
     }
 }
 
-/// [`LogStore`] wrapper that fails WAL appends/syncs per the plan.
+/// [`LogDir`] wrapper that fails segment creation and removal per the
+/// plan, and wraps every segment it hands out in a `FailLog` on the same
+/// plan. Listing and opening are reads: they count no operation and only
+/// fail once the device is dead.
 pub struct FailWal {
-    inner: Arc<dyn LogStore>,
+    inner: Arc<dyn LogDir>,
     plan: Arc<FaultPlan>,
 }
 
 impl FailWal {
-    pub fn new(inner: Arc<dyn LogStore>, plan: Arc<FaultPlan>) -> FailWal {
+    pub fn new(inner: Arc<dyn LogDir>, plan: Arc<FaultPlan>) -> FailWal {
         FailWal { inner, plan }
+    }
+
+    fn wrap(&self, log: Arc<dyn LogStore>) -> Arc<dyn LogStore> {
+        Arc::new(FailLog::new(log, self.plan.clone()))
+    }
+
+    fn alive(&self) -> Result<()> {
+        match self.plan.dead.load(Ordering::Acquire) {
+            true => Err(self.plan.dead_err()),
+            false => Ok(()),
+        }
     }
 }
 
-impl LogStore for FailWal {
+impl LogDir for FailWal {
+    fn create(&self, id: u64) -> Result<Arc<dyn LogStore>> {
+        match self.plan.tick() {
+            Verdict::Pass => Ok(self.wrap(self.inner.create(id)?)),
+            _ => Err(self.plan.dead_err()),
+        }
+    }
+
+    fn open(&self, id: u64) -> Result<Arc<dyn LogStore>> {
+        self.alive()?;
+        Ok(self.wrap(self.inner.open(id)?))
+    }
+
+    fn list(&self) -> Result<Vec<u64>> {
+        self.alive()?;
+        self.inner.list()
+    }
+
+    fn remove(&self, id: u64) -> Result<()> {
+        match self.plan.tick() {
+            Verdict::Pass => self.inner.remove(id),
+            _ => Err(self.plan.dead_err()),
+        }
+    }
+}
+
+/// [`LogStore`] wrapper that fails one segment's appends, truncations and
+/// syncs per the plan.
+pub(crate) struct FailLog {
+    inner: Arc<dyn LogStore>,
+    plan: Arc<FaultPlan>,
+}
+
+impl FailLog {
+    pub(crate) fn new(inner: Arc<dyn LogStore>, plan: Arc<FaultPlan>) -> FailLog {
+        FailLog { inner, plan }
+    }
+}
+
+impl LogStore for FailLog {
     fn append(&self, bytes: &[u8]) -> Result<()> {
         match self.plan.tick() {
             Verdict::Pass => self.inner.append(bytes),
@@ -229,12 +303,12 @@ impl LogStore for FailWal {
 mod tests {
     use super::*;
     use crate::disk::MemDisk;
-    use crate::log::MemLog;
+    use crate::log::{MemLog, MemLogDir};
 
     #[test]
     fn kill_fails_the_nth_op_and_stays_dead() {
         let plan = FaultPlan::new(7, FaultMode::Kill, 2);
-        let log = FailWal::new(Arc::new(MemLog::new()), plan.clone());
+        let log = FailLog::new(Arc::new(MemLog::new()), plan.clone());
         log.append(b"a").unwrap();
         log.append(b"b").unwrap();
         assert!(log.append(b"c").is_err());
@@ -249,7 +323,7 @@ mod tests {
     fn torn_write_lands_a_strict_prefix() {
         let base = Arc::new(MemLog::new());
         let plan = FaultPlan::new(11, FaultMode::Torn, 0);
-        let log = FailWal::new(base.clone(), plan);
+        let log = FailLog::new(base.clone(), plan);
         assert!(log.append(b"0123456789").is_err());
         let got = base.read_all().unwrap();
         assert!(got.len() < 10, "torn write must not land fully");
@@ -260,7 +334,7 @@ mod tests {
     fn flip_bit_corrupts_exactly_one_bit_and_device_survives() {
         let base = Arc::new(MemLog::new());
         let plan = FaultPlan::new(3, FaultMode::FlipBit, 0);
-        let log = FailWal::new(base.clone(), plan);
+        let log = FailLog::new(base.clone(), plan);
         log.append(&[0u8; 16]).unwrap();
         log.append(b"ok").unwrap();
         let got = base.read_all().unwrap();
@@ -273,7 +347,7 @@ mod tests {
     fn same_seed_same_fault() {
         let run = |seed| {
             let base = Arc::new(MemLog::new());
-            let log = FailWal::new(base.clone(), FaultPlan::new(seed, FaultMode::Torn, 1));
+            let log = FailLog::new(base.clone(), FaultPlan::new(seed, FaultMode::Torn, 1));
             log.append(b"first").unwrap();
             let _ = log.append(b"0123456789abcdef");
             base.read_all().unwrap()
@@ -281,6 +355,30 @@ mod tests {
         assert_eq!(run(42), run(42));
         // Different seeds tear at different offsets (with these lengths).
         assert_ne!(run(1).len(), run(5).len());
+    }
+
+    #[test]
+    fn fail_wal_counts_segment_create_and_remove() {
+        let base = Arc::new(MemLogDir::new());
+        // Ops: create(1), append, create(2), remove(1) — the fourth dies.
+        let plan = FaultPlan::new(5, FaultMode::Kill, 3);
+        let dir = FailWal::new(base.clone(), plan.clone());
+        dir.create(1).unwrap().append(b"x").unwrap();
+        dir.create(2).unwrap();
+        assert_eq!(plan.ops(), 3);
+        assert_eq!(dir.list().unwrap(), vec![1, 2], "listing counts no operation");
+        assert!(dir.remove(1).is_err());
+        assert!(plan.triggered());
+        assert_eq!(base.list().unwrap(), vec![1, 2], "the failed remove deleted nothing");
+        assert!(dir.list().is_err() && dir.open(1).is_err(), "a dead device serves nothing");
+        assert!(dir.create(3).is_err());
+        plan.disarm();
+        assert_eq!(dir.open(1).unwrap().read_all().unwrap(), b"x");
+        // Armed again mid-run: one op passes, the next dies.
+        plan.arm(1);
+        dir.open(1).unwrap().sync().unwrap();
+        assert!(dir.remove(1).is_err());
+        assert_eq!(base.list().unwrap(), vec![1, 2]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod stats;
 pub use disk::{DiskManager, FileDisk, MemDisk};
 pub use fault::{FailDisk, FailWal, FaultMode, FaultPlan};
 pub use heap::{HeapFile, RecordId};
-pub use log::{FileLog, LogStore, MemLog};
+pub use log::{FileLog, FileLogDir, LogDir, LogStore, MemLog, MemLogDir};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use pool::{BufferPool, IoHook};
 pub use stats::{ConcurrencyStats, IoStats};

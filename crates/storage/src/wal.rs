@@ -19,26 +19,39 @@
 //! - **Group commit per stripe.** Appends encode into one of
 //!   [`WAL_STRIPES`] staging buffers selected by the same multiplicative
 //!   hash as the ingest shards, so the WAL adds no cross-source lock
-//!   contention. A stripe flushes to the [`LogStore`] when it exceeds the
-//!   group-commit threshold; [`Wal::sync`] flushes every stripe and
-//!   fsyncs, advancing the *durable LSN* — the acknowledgement boundary.
+//!   contention. A stripe flushes to the active log segment when it
+//!   exceeds the group-commit threshold; [`Wal::sync`] flushes every
+//!   stripe and fsyncs, advancing the *durable LSN* — the acknowledgement
+//!   boundary.
+//! - **Segments.** The log is a numbered sequence of [`LogStore`]
+//!   segments in a [`LogDir`]. Appends go to the newest (*active*)
+//!   segment; once it holds [`SEGMENT_BYTES`] it is fsynced and closed,
+//!   and a fresh one is created (a *roll*). Closed segments are never
+//!   written again, so only the active one can have a torn tail. Each
+//!   stripe tracks the highest LSN in its staging buffer, and each segment
+//!   the highest LSN flushed into it.
 //! - **Ordering.** The table holds the ingest-shard lock across
 //!   `append → buffer push`, and a source maps to exactly one stripe, so
 //!   per-source LSN order equals buffer order equals arrival order. File
 //!   order is *not* LSN order (stripes flush independently); recovery
 //!   sorts frames by LSN before replay.
-//! - **Recovery.** [`Wal::open`] scans the log once, stops at the first
-//!   torn or corrupt frame, truncates the log back to the last good byte,
-//!   and hands the parsed frames to the server for idempotent replay.
-//! - **Checkpoints.** [`Wal::truncate_through`] drops every frame at or
-//!   below the checkpoint's low-water-mark LSN and keeps the tail.
+//! - **Recovery.** [`Wal::open`] reads the segments one at a time, in id
+//!   order, and stops at the first torn or corrupt frame: that segment is
+//!   cut back to its last good byte and every later segment is removed.
+//!   The parsed frames go to the server for idempotent replay.
+//! - **Checkpoints.** [`Wal::truncate_through`] rolls the active segment
+//!   and deletes the closed segments whose highest LSN is at or below the
+//!   checkpoint's low-water mark. It never reads or rewrites log bytes:
+//!   frames that open buffers still need stay in the segments that hold
+//!   them, and a crash at any step leaves every needed frame in place.
 
 use crate::delete::DeletePredicate;
 use crate::snapshot::TableConfigSnapshot;
-use odh_pager::log::LogStore;
+use odh_pager::log::{LogDir, LogStore};
 use odh_sim::ResourceMeter;
 use odh_types::{OdhError, Record, Result, SourceClass, SourceId, Timestamp};
 use parking_lot::{Mutex, MutexGuard};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -49,6 +62,10 @@ pub const WAL_STRIPES: usize = 16;
 /// Flush a stripe to the log once its staging buffer exceeds this many
 /// bytes (group commit).
 pub const GROUP_COMMIT_BYTES: usize = 64 * 1024;
+
+/// Roll the active segment once it holds this many bytes. Recovery reads
+/// one segment at a time, so this also bounds its read buffer.
+pub const SEGMENT_BYTES: u64 = 4 << 20;
 
 /// Upper bound on one frame; larger length prefixes mean garbage.
 const MAX_FRAME: usize = 1 << 20;
@@ -100,7 +117,8 @@ pub struct WalFrame {
 pub struct WalRecovery {
     /// All valid frames, sorted by LSN (replay order).
     pub frames: Vec<WalFrame>,
-    /// Bytes cut off the tail (torn/corrupt frames).
+    /// Bytes cut off at the first torn/corrupt frame, including the
+    /// segments removed after it.
     pub truncated_bytes: u64,
     /// Human-readable note when the tail was truncated.
     pub warning: Option<String>,
@@ -122,6 +140,8 @@ pub struct WalStats {
 #[derive(Default)]
 struct Stripe {
     buf: Vec<u8>,
+    /// Highest LSN staged in `buf` (LSNs grow within a stripe).
+    max_lsn: u64,
     appends: u64,
     bytes_appended: u64,
     /// Appends/bytes already settled into the shared registry counters —
@@ -141,6 +161,10 @@ struct WalObs {
     bytes: Arc<odh_obs::Counter>,
     group_commits: Arc<odh_obs::Counter>,
     syncs: Arc<odh_obs::Counter>,
+    /// Live segments across the registry's WALs.
+    segments: Arc<odh_obs::Gauge>,
+    /// Segments deleted by checkpoints.
+    segments_dropped: Arc<odh_obs::Counter>,
     /// Append latency, sampled 1-in-[`APPEND_SAMPLE`] (per stripe) so the
     /// hot path pays no clock reads on the other appends.
     append_hist: Arc<odh_obs::Histogram>,
@@ -159,6 +183,8 @@ impl WalObs {
             bytes: registry.counter("odh_wal_bytes_total", &[]),
             group_commits: registry.counter("odh_wal_group_commits_total", &[]),
             syncs: registry.counter("odh_wal_syncs_total", &[]),
+            segments: registry.gauge("odh_wal_segments", &[]),
+            segments_dropped: registry.counter("odh_wal_segments_dropped_total", &[]),
             append_hist: registry.histogram("odh_wal_append_seconds", &[]),
             fsync_hist: registry.histogram("odh_wal_fsync_seconds", &[]),
             registry,
@@ -166,9 +192,30 @@ impl WalObs {
     }
 }
 
+/// One log segment and the highest LSN flushed into it.
+struct Segment {
+    id: u64,
+    log: Arc<dyn LogStore>,
+    max_lsn: u64,
+}
+
+/// The live segments: the closed ones (fsynced, never written again),
+/// oldest first, and the active one that takes appends.
+struct Segments {
+    closed: VecDeque<Segment>,
+    active: Segment,
+}
+
+impl Segments {
+    fn count(&self) -> usize {
+        self.closed.len() + 1
+    }
+}
+
 /// The write-ahead log of one data server.
 pub struct Wal {
-    log: Arc<dyn LogStore>,
+    dir: Arc<dyn LogDir>,
+    segments: Mutex<Segments>,
     meter: Arc<ResourceMeter>,
     /// Next LSN to assign (LSNs start at 1).
     next_lsn: AtomicU64,
@@ -187,47 +234,81 @@ fn stripe_of(key: u64) -> usize {
 }
 
 impl Wal {
-    /// Start a WAL over an empty (or to-be-discarded) log.
-    pub fn create(log: Arc<dyn LogStore>, meter: Arc<ResourceMeter>) -> Result<Arc<Wal>> {
-        log.set_len(0)?;
-        Ok(Arc::new(Wal::with_state(log, meter, 1, 0)))
+    /// Start a WAL over an empty (or to-be-discarded) segment directory:
+    /// every existing segment is removed.
+    pub fn create(dir: Arc<dyn LogDir>, meter: Arc<ResourceMeter>) -> Result<Arc<Wal>> {
+        for id in dir.list()? {
+            dir.remove(id)?;
+        }
+        let active = Segment { id: 1, log: dir.create(1)?, max_lsn: 0 };
+        let segments = Segments { closed: VecDeque::new(), active };
+        Ok(Arc::new(Wal::with_state(dir, segments, meter, 1, 0)))
     }
 
-    /// Reopen an existing log: parse every frame, truncate a torn or
-    /// corrupt tail, and return the surviving frames sorted by LSN.
+    /// Reopen an existing log: parse the segments in order, one at a time,
+    /// until the first torn or corrupt frame; cut that segment there and
+    /// remove every later one. Returns the surviving frames sorted by LSN.
     pub fn open(
-        log: Arc<dyn LogStore>,
+        dir: Arc<dyn LogDir>,
         meter: Arc<ResourceMeter>,
     ) -> Result<(Arc<Wal>, WalRecovery)> {
-        let bytes = log.read_all()?;
-        let (mut frames, good_len, reason) = parse_frames(&bytes);
-        let truncated = (bytes.len() - good_len) as u64;
-        let warning = if truncated > 0 {
-            let w = format!(
-                "wal: truncated {truncated} byte(s) of torn/corrupt tail at offset {good_len} ({})",
-                reason.unwrap_or_default()
-            );
-            eprintln!("warning: {w}");
-            log.set_len(good_len as u64)?;
-            Some(w)
-        } else {
-            None
+        let mut frames = Vec::new();
+        let mut live: VecDeque<Segment> = VecDeque::new();
+        let mut truncated = 0u64;
+        let mut warning = None;
+        let mut ids = dir.list()?.into_iter();
+        for id in ids.by_ref() {
+            let log = dir.open(id)?;
+            let bytes = log.read_all()?;
+            let (seg_frames, good_len, reason) = parse_frames(&bytes);
+            let max_lsn = seg_frames.iter().map(|f| f.lsn).max().unwrap_or(0);
+            frames.extend(seg_frames);
+            let torn = good_len < bytes.len();
+            if torn {
+                let cut = (bytes.len() - good_len) as u64;
+                let w = format!(
+                    "wal: truncated {cut} byte(s) of torn/corrupt tail at offset {good_len} of \
+                     segment {id} ({})",
+                    reason.unwrap_or_default()
+                );
+                eprintln!("warning: {w}");
+                log.set_len(good_len as u64)?;
+                truncated += cut;
+                warning = Some(w);
+            }
+            live.push_back(Segment { id, log, max_lsn });
+            if torn {
+                break;
+            }
+        }
+        // Segments after a tear lie past the end of the log.
+        for id in ids {
+            truncated += dir.open(id)?.len();
+            dir.remove(id)?;
+        }
+        let active = match live.pop_back() {
+            Some(seg) => seg,
+            None => Segment { id: 1, log: dir.create(1)?, max_lsn: 0 },
         };
         frames.sort_by_key(|f| f.lsn);
         let max_lsn = frames.last().map(|f| f.lsn).unwrap_or(0);
-        let wal = Arc::new(Wal::with_state(log, meter, max_lsn + 1, max_lsn));
+        let segments = Segments { closed: live, active };
+        let wal = Arc::new(Wal::with_state(dir, segments, meter, max_lsn + 1, max_lsn));
         Ok((wal, WalRecovery { frames, truncated_bytes: truncated, warning }))
     }
 
     fn with_state(
-        log: Arc<dyn LogStore>,
+        dir: Arc<dyn LogDir>,
+        segments: Segments,
         meter: Arc<ResourceMeter>,
         next_lsn: u64,
         durable: u64,
     ) -> Wal {
         let obs = WalObs::new(&meter);
+        obs.segments.add(segments.count() as i64);
         Wal {
-            log,
+            dir,
+            segments: Mutex::new(segments),
             meter,
             next_lsn: AtomicU64::new(next_lsn),
             durable_lsn: AtomicU64::new(durable),
@@ -341,6 +422,7 @@ impl Wal {
             s.buf[frame_start + 4..frame_start + 8].copy_from_slice(&crc.to_le_bytes());
             s.appends += 1;
             s.bytes_appended += (8 + payload_len) as u64;
+            s.max_lsn = lsn;
         }
         if s.buf.len() >= self.group_commit_bytes {
             self.flush_stripe(&mut s)?;
@@ -417,6 +499,7 @@ impl Wal {
         s.buf[frame_start + 4..frame_start + 8].copy_from_slice(&crc.to_le_bytes());
         s.appends += 1;
         s.bytes_appended += (8 + payload_len) as u64;
+        s.max_lsn = lsn;
         if s.buf.len() >= self.group_commit_bytes {
             self.flush_stripe(&mut s)?;
         }
@@ -434,9 +517,29 @@ impl Wal {
         s.settled_appends = s.appends;
         s.settled_bytes = s.bytes_appended;
         self.meter.wal_write(s.buf.len());
-        let r = self.log.append(&s.buf);
+        let mut segs = self.segments.lock();
+        let r = segs.active.log.append(&s.buf);
+        // Recorded even if the append failed part-way: a higher mark only
+        // keeps the segment longer.
+        segs.active.max_lsn = segs.active.max_lsn.max(s.max_lsn);
         s.buf.clear();
-        r
+        r?;
+        if segs.active.log.len() >= SEGMENT_BYTES {
+            self.roll(&mut segs)?;
+        }
+        Ok(())
+    }
+
+    /// Close the active segment — fsync it, so a torn tail can only ever
+    /// sit in the newest segment — and start the next one.
+    fn roll(&self, segs: &mut Segments) -> Result<()> {
+        segs.active.log.sync()?;
+        let id = segs.active.id + 1;
+        let log = self.dir.create(id)?;
+        let closed = std::mem::replace(&mut segs.active, Segment { id, log, max_lsn: 0 });
+        segs.closed.push_back(closed);
+        self.obs.segments.add(1);
+        Ok(())
     }
 
     /// Flush every stripe and fsync the log. Returns the durable LSN: every
@@ -447,9 +550,11 @@ impl Wal {
         for stripe in &self.stripes {
             self.flush_stripe(&mut stripe.lock())?;
         }
+        // Segments closed since the flushes were fsynced by their roll.
+        let active = self.segments.lock().active.log.clone();
         {
             let _span = self.obs.registry.span("wal_fsync", &self.obs.fsync_hist);
-            self.log.sync()?;
+            active.sync()?;
         }
         self.syncs.fetch_add(1, Ordering::Relaxed);
         self.obs.syncs.inc();
@@ -468,40 +573,46 @@ impl Wal {
         self.durable_lsn.load(Ordering::Acquire)
     }
 
-    /// Drop every frame with `lsn <= low_water` and keep the tail — the
-    /// checkpoint's log truncation. Appends are blocked for the duration
-    /// (all stripe locks are held). The rewrite is not atomic; a crash in
-    /// the middle can lose tail frames, which is why the server only calls
-    /// this *after* the checkpoint image (covering those frames) is
-    /// durable, and why the common offline-checkpoint case (`low_water ==
-    /// max_lsn`) reduces to a single truncate-to-zero.
+    /// The checkpoint's log truncation: drop every segment whose frames
+    /// all have `lsn <= low_water`. Under the stripe locks it flushes the
+    /// stripes and rolls the active segment, so everything appended so far
+    /// sits in closed segments; then it deletes, oldest first, the closed
+    /// segments whose highest LSN is at or below the mark. No log byte is
+    /// read or rewritten. A segment holding any frame above the mark — a
+    /// row an open buffer still needs — stays whole, and a crash at any
+    /// step leaves only extra segments behind, whose frames replay skips
+    /// (they are at or below the checkpoint LSN).
     pub fn truncate_through(&self, low_water: u64) -> Result<()> {
-        let mut guards: Vec<MutexGuard<'_, Stripe>> =
-            self.stripes.iter().map(|s| s.lock()).collect();
-        for g in guards.iter_mut() {
-            self.flush_stripe(g)?;
-        }
-        let bytes = self.log.read_all()?;
-        let (frames, good_len, _) = parse_frames_raw(&bytes);
-        debug_assert_eq!(good_len, bytes.len(), "wal must be fully valid before truncation");
-        let mut kept = Vec::new();
-        for (frame, range) in frames {
-            if frame.lsn > low_water {
-                kept.extend_from_slice(&bytes[range]);
+        let mut segs = {
+            let mut stripes: Vec<MutexGuard<'_, Stripe>> =
+                self.stripes.iter().map(|s| s.lock()).collect();
+            for s in stripes.iter_mut() {
+                self.flush_stripe(s)?;
+            }
+            let mut segs = self.segments.lock();
+            if !segs.active.log.is_empty() {
+                self.roll(&mut segs)?;
+            }
+            segs
+        };
+        let mut i = 0;
+        while i < segs.closed.len() {
+            if segs.closed[i].max_lsn <= low_water {
+                self.dir.remove(segs.closed[i].id)?;
+                segs.closed.remove(i);
+                self.obs.segments.add(-1);
+                self.obs.segments_dropped.inc();
+            } else {
+                i += 1;
             }
         }
-        self.log.set_len(0)?;
-        if !kept.is_empty() {
-            self.meter.wal_write(kept.len());
-            self.log.append(&kept)?;
-        }
-        self.log.sync()?;
         Ok(())
     }
 
-    /// Current log size in bytes (excluding staged, unflushed entries).
+    /// Bytes in the live segments (excluding staged, unflushed entries).
     pub fn log_bytes(&self) -> u64 {
-        self.log.len()
+        let segs = self.segments.lock();
+        segs.closed.iter().map(|s| s.log.len()).sum::<u64>() + segs.active.log.len()
     }
 
     pub fn stats(&self) -> WalStats {
@@ -520,12 +631,16 @@ impl Wal {
     }
 }
 
-/// A decoded frame together with the byte range it occupied in the log.
-type RangedFrame = (WalFrame, std::ops::Range<usize>);
+impl Drop for Wal {
+    fn drop(&mut self) {
+        // The segments stay on their device; this WAL no longer holds them.
+        self.obs.segments.add(-(self.segments.get_mut().count() as i64));
+    }
+}
 
-/// Parse frames with their byte ranges; returns `(frames, good_len,
-/// reason)` where `good_len` is the offset of the first invalid byte.
-fn parse_frames_raw(bytes: &[u8]) -> (Vec<RangedFrame>, usize, Option<String>) {
+/// Parse one segment's frames; returns `(frames, good_len, reason)` where
+/// `good_len` is the offset of the first invalid byte.
+fn parse_frames(bytes: &[u8]) -> (Vec<WalFrame>, usize, Option<String>) {
     let mut frames = Vec::new();
     let mut off = 0usize;
     let reason;
@@ -551,7 +666,7 @@ fn parse_frames_raw(bytes: &[u8]) -> (Vec<RangedFrame>, usize, Option<String>) {
         }
         let lsn = u64::from_le_bytes(payload[..8].try_into().unwrap());
         match decode_entry(payload[8], &payload[9..]) {
-            Ok(entry) => frames.push((WalFrame { lsn, entry }, off..off + 8 + len)),
+            Ok(entry) => frames.push(WalFrame { lsn, entry }),
             Err(e) => {
                 reason = Some(format!("undecodable frame: {e}"));
                 break;
@@ -560,11 +675,6 @@ fn parse_frames_raw(bytes: &[u8]) -> (Vec<RangedFrame>, usize, Option<String>) {
         off += 8 + len;
     }
     (frames, off, reason)
-}
-
-fn parse_frames(bytes: &[u8]) -> (Vec<WalFrame>, usize, Option<String>) {
-    let (raw, good, reason) = parse_frames_raw(bytes);
-    (raw.into_iter().map(|(f, _)| f).collect(), good, reason)
 }
 
 /// Decode the shared `Point`/`LatePoint` frame body.
@@ -699,17 +809,27 @@ pub fn crc32(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
     use crate::table::TableConfig;
-    use odh_pager::log::MemLog;
+    use odh_pager::log::MemLogDir;
     use odh_types::SchemaType;
 
-    fn mem_wal() -> (Arc<MemLog>, Arc<Wal>) {
-        let log = Arc::new(MemLog::new());
-        let wal = Wal::create(log.clone(), ResourceMeter::unmetered()).unwrap();
-        (log, wal)
+    fn mem_wal() -> (Arc<MemLogDir>, Arc<Wal>) {
+        let dir = Arc::new(MemLogDir::new());
+        let wal = Wal::create(dir.clone(), ResourceMeter::unmetered()).unwrap();
+        (dir, wal)
     }
 
     fn point(src: u64, ts: i64) -> Record {
         Record::new(SourceId(src), Timestamp(ts), vec![Some(ts as f64), None, Some(-1.0)])
+    }
+
+    /// A point frame of about 2 KiB, so a few thousand appends roll.
+    fn wide_point(src: u64, ts: i64) -> Record {
+        Record::new(SourceId(src), Timestamp(ts), vec![Some(ts as f64); 250])
+    }
+
+    fn recovered_lsns(dir: Arc<MemLogDir>) -> Vec<u64> {
+        let (_, rec) = Wal::open(dir, ResourceMeter::unmetered()).unwrap();
+        rec.frames.iter().map(|f| f.lsn).collect()
     }
 
     #[test]
@@ -721,7 +841,7 @@ mod tests {
 
     #[test]
     fn frames_round_trip_with_monotone_lsns() {
-        let (log, wal) = mem_wal();
+        let (dir, wal) = mem_wal();
         let cfg = TableConfigSnapshot::from(&TableConfig::new(SchemaType::new("m", ["a"])));
         wal.append_table_def(3, &cfg).unwrap();
         wal.append_source(3, SourceId(7), &SourceClass::irregular_high()).unwrap();
@@ -731,7 +851,7 @@ mod tests {
         assert_eq!(wal.sync().unwrap(), 12);
         assert_eq!(wal.durable_lsn(), 12);
 
-        let (wal2, rec) = Wal::open(log, ResourceMeter::unmetered()).unwrap();
+        let (wal2, rec) = Wal::open(dir, ResourceMeter::unmetered()).unwrap();
         assert_eq!(rec.frames.len(), 12);
         assert!(rec.warning.is_none());
         assert!(rec.frames.windows(2).all(|w| w[0].lsn < w[1].lsn));
@@ -755,13 +875,13 @@ mod tests {
 
     #[test]
     fn late_point_and_delete_frames_round_trip() {
-        let (log, wal) = mem_wal();
+        let (dir, wal) = mem_wal();
         wal.append_late_point(3, &point(7, 41)).unwrap();
         let pred = DeletePredicate::for_sources(10, 20, [SourceId(7), SourceId(9)]);
         wal.append_delete(3, &pred).unwrap();
         wal.append_delete(4, &DeletePredicate::all_sources(i64::MIN, 0)).unwrap();
         wal.sync().unwrap();
-        let (_, rec) = Wal::open(log, ResourceMeter::unmetered()).unwrap();
+        let (_, rec) = Wal::open(dir, ResourceMeter::unmetered()).unwrap();
         assert_eq!(rec.frames.len(), 3);
         match &rec.frames[0].entry {
             WalEntry::LatePoint { table, record } => {
@@ -786,84 +906,258 @@ mod tests {
 
     #[test]
     fn group_commit_batches_appends() {
-        let (log, wal) = mem_wal();
+        let (dir, wal) = mem_wal();
         for i in 0..100i64 {
             wal.append_point(0, &point(1, i)).unwrap();
         }
         // Nothing flushed yet (well under the threshold), one commit on sync.
-        assert_eq!(log.len(), 0);
+        assert_eq!(dir.total_len(), 0);
         wal.sync().unwrap();
         let s = wal.stats();
         assert_eq!(s.appends, 100);
         assert_eq!(s.group_commits, 1);
-        assert_eq!(log.len(), s.bytes_appended);
+        assert_eq!(dir.total_len(), s.bytes_appended);
+        assert_eq!(wal.log_bytes(), s.bytes_appended);
     }
 
     #[test]
     fn torn_tail_is_truncated_and_survivors_parse() {
-        let (log, wal) = mem_wal();
+        let (dir, wal) = mem_wal();
         for i in 0..5i64 {
             wal.append_point(0, &point(2, i)).unwrap();
         }
         wal.sync().unwrap();
-        let good = log.len();
+        let good = dir.total_len();
         // A torn frame: header promising more bytes than exist.
-        log.append(&[64, 0, 0, 0, 1, 2, 3, 4, 9, 9]).unwrap();
-        let (_, rec) = Wal::open(log.clone(), ResourceMeter::unmetered()).unwrap();
+        dir.segment(1).unwrap().append(&[64, 0, 0, 0, 1, 2, 3, 4, 9, 9]).unwrap();
+        let (_, rec) = Wal::open(dir.clone(), ResourceMeter::unmetered()).unwrap();
         assert_eq!(rec.frames.len(), 5);
         assert_eq!(rec.truncated_bytes, 10);
         assert!(rec.warning.is_some());
-        assert_eq!(log.len(), good, "log physically truncated to last good frame");
+        assert_eq!(dir.total_len(), good, "log physically truncated to last good frame");
     }
 
     #[test]
     fn bit_flip_stops_parse_at_corrupt_frame() {
-        let (log, wal) = mem_wal();
+        let (dir, wal) = mem_wal();
         for i in 0..8i64 {
             wal.append_point(0, &point(3, i)).unwrap();
         }
         wal.sync().unwrap();
         // Flip a bit in the 6th frame's payload; frames 1..=5 survive.
-        let frame_len = log.len() / 8;
-        log.flip_bit(5 * frame_len + 10);
-        let (_, rec) = Wal::open(log, ResourceMeter::unmetered()).unwrap();
+        let frame_len = dir.total_len() / 8;
+        dir.segment(1).unwrap().flip_bit(5 * frame_len + 10);
+        let (_, rec) = Wal::open(dir, ResourceMeter::unmetered()).unwrap();
         assert_eq!(rec.frames.len(), 5);
         assert!(rec.warning.unwrap().contains("crc"));
     }
 
     #[test]
     fn truncate_through_keeps_tail_frames() {
-        let (log, wal) = mem_wal();
-        for i in 0..10i64 {
+        let (dir, wal) = mem_wal();
+        for i in 0..7i64 {
+            wal.append_point(0, &point(4, i)).unwrap();
+        }
+        // Mark 0 drops nothing but closes LSNs 1..=7 into segment 1.
+        wal.truncate_through(0).unwrap();
+        for i in 7..10i64 {
             wal.append_point(0, &point(4, i)).unwrap();
         }
         wal.sync().unwrap();
         wal.truncate_through(7).unwrap();
-        let (_, rec) = Wal::open(log, ResourceMeter::unmetered()).unwrap();
-        let lsns: Vec<u64> = rec.frames.iter().map(|f| f.lsn).collect();
-        assert_eq!(lsns, vec![8, 9, 10]);
+        assert_eq!(dir.list().unwrap(), vec![2, 3], "segment 1 dropped, 2 closed, 3 active");
+        assert_eq!(recovered_lsns(dir), vec![8, 9, 10]);
         // New appends continue above the old maximum.
         assert_eq!(wal.append_point(0, &point(4, 99)).unwrap(), 11);
     }
 
     #[test]
     fn truncate_everything_empties_the_log() {
-        let (log, wal) = mem_wal();
+        let (dir, wal) = mem_wal();
         for i in 0..10i64 {
             wal.append_point(0, &point(4, i)).unwrap();
         }
         wal.sync().unwrap();
         wal.truncate_through(wal.max_lsn()).unwrap();
-        assert_eq!(log.len(), 0);
+        assert_eq!(dir.total_len(), 0);
+        assert_eq!(wal.log_bytes(), 0);
+        assert_eq!(dir.list().unwrap(), vec![2], "only the fresh active segment is left");
+    }
+
+    #[test]
+    fn roll_happens_at_segment_size() {
+        let meter = ResourceMeter::unmetered();
+        let dir = Arc::new(MemLogDir::new());
+        let wal = Wal::create(dir.clone(), meter.clone()).unwrap();
+        let mut ts = 0;
+        while dir.list().unwrap().len() == 1 {
+            assert!(wal.log_bytes() < SEGMENT_BYTES, "the active segment passed the size");
+            wal.append_point(0, &wide_point(1, ts)).unwrap();
+            ts += 1;
+        }
+        // The roll came with the group commit that crossed the size.
+        let closed = dir.segment(1).unwrap().len();
+        assert!(closed >= SEGMENT_BYTES, "rolled early at {closed} bytes");
+        assert!(closed < SEGMENT_BYTES + 2 * GROUP_COMMIT_BYTES as u64, "rolled late");
+        assert_eq!(dir.list().unwrap(), vec![1, 2]);
+        assert_eq!(meter.registry().sum_gauge("odh_wal_segments"), 2);
+        wal.sync().unwrap();
+        assert_eq!(recovered_lsns(dir).len(), ts as usize, "no frame lost across the roll");
+        drop(wal);
+        assert_eq!(meter.registry().sum_gauge("odh_wal_segments"), 0);
+    }
+
+    #[test]
+    fn checkpoint_drops_exactly_the_segments_at_or_below_the_mark() {
+        let meter = ResourceMeter::unmetered();
+        let dir = Arc::new(MemLogDir::new());
+        let wal = Wal::create(dir.clone(), meter.clone()).unwrap();
+        // Segments 1..=4 hold LSNs 1..=5, 6..=10, 11..=15 and 16..=18.
+        for (seg, lsns) in [(1, 1..=5), (2, 6..=10), (3, 11..=15)] {
+            for lsn in lsns {
+                wal.append_point(0, &point(seg, lsn)).unwrap();
+            }
+            wal.truncate_through(0).unwrap();
+        }
+        for lsn in 16..=18 {
+            wal.append_point(0, &point(4, lsn)).unwrap();
+        }
+        wal.sync().unwrap();
+        assert_eq!(dir.list().unwrap(), vec![1, 2, 3, 4]);
+        wal.truncate_through(10).unwrap();
+        // 1 and 2 (max 5, 10) go; 3 (max 15) and the rolled 4 (max 18)
+        // stay; 5 is the new active segment.
+        assert_eq!(dir.list().unwrap(), vec![3, 4, 5]);
+        let registry = meter.registry();
+        assert_eq!(registry.sum_counter("odh_wal_segments_dropped_total"), 2);
+        assert_eq!(registry.sum_gauge("odh_wal_segments"), 3);
+        assert_eq!(wal.log_bytes(), dir.total_len());
+        assert_eq!(recovered_lsns(dir.clone()), (11..=18).collect::<Vec<u64>>());
+        // A mark inside a segment keeps it whole.
+        wal.truncate_through(17).unwrap();
+        assert_eq!(dir.list().unwrap(), vec![4, 5]);
+        assert_eq!(recovered_lsns(dir), (16..=18).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn open_over_several_segments_keeps_everything_before_a_torn_tail() {
+        let (dir, wal) = mem_wal();
+        for lsn in 1..=12i64 {
+            wal.append_point(0, &point(lsn as u64 % 3, lsn)).unwrap();
+            if lsn % 4 == 0 {
+                wal.truncate_through(0).unwrap();
+            }
+        }
+        wal.append_point(0, &point(0, 13)).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        assert_eq!(dir.list().unwrap(), vec![1, 2, 3, 4]);
+        let newest = dir.segment(4).unwrap();
+        let good = newest.len();
+        newest.append(&[200, 0, 0, 0, 7, 7, 7, 7, 1]).unwrap();
+        let (wal, rec) = Wal::open(dir.clone(), ResourceMeter::unmetered()).unwrap();
+        assert_eq!(
+            rec.frames.iter().map(|f| f.lsn).collect::<Vec<_>>(),
+            (1..=13).collect::<Vec<_>>()
+        );
+        assert_eq!(rec.truncated_bytes, 9);
+        assert!(rec.warning.unwrap().contains("segment 4"));
+        assert_eq!(newest.len(), good, "the newest segment is cut at the tear");
+        // Appends resume in the cut segment, above the survivors.
+        assert_eq!(wal.append_point(0, &point(1, 14)).unwrap(), 14);
+        wal.sync().unwrap();
+        assert_eq!(dir.list().unwrap(), vec![1, 2, 3, 4]);
+        drop(wal);
+
+        // Corruption in a middle segment ends the log there: the later
+        // segments are removed.
+        dir.segment(2).unwrap().flip_bit(10);
+        let (_, rec) = Wal::open(dir.clone(), ResourceMeter::unmetered()).unwrap();
+        assert_eq!(rec.frames.iter().map(|f| f.lsn).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
+        assert_eq!(dir.list().unwrap(), vec![1, 2]);
+        assert!(rec.truncated_bytes > 0);
+    }
+
+    /// Counts the bytes read through every segment it hands out.
+    struct CountingDir {
+        inner: MemLogDir,
+        read_bytes: Arc<AtomicU64>,
+    }
+
+    struct CountingLog {
+        inner: Arc<dyn LogStore>,
+        read_bytes: Arc<AtomicU64>,
+    }
+
+    impl LogStore for CountingLog {
+        fn append(&self, bytes: &[u8]) -> Result<()> {
+            self.inner.append(bytes)
+        }
+        fn read_all(&self) -> Result<Vec<u8>> {
+            let bytes = self.inner.read_all()?;
+            self.read_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            Ok(bytes)
+        }
+        fn set_len(&self, len: u64) -> Result<()> {
+            self.inner.set_len(len)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    impl CountingDir {
+        fn wrap(&self, inner: Arc<dyn LogStore>) -> Arc<dyn LogStore> {
+            Arc::new(CountingLog { inner, read_bytes: self.read_bytes.clone() })
+        }
+    }
+
+    impl LogDir for CountingDir {
+        fn create(&self, id: u64) -> Result<Arc<dyn LogStore>> {
+            Ok(self.wrap(self.inner.create(id)?))
+        }
+        fn open(&self, id: u64) -> Result<Arc<dyn LogStore>> {
+            Ok(self.wrap(self.inner.open(id)?))
+        }
+        fn list(&self) -> Result<Vec<u64>> {
+            self.inner.list()
+        }
+        fn remove(&self, id: u64) -> Result<()> {
+            self.inner.remove(id)
+        }
+    }
+
+    #[test]
+    fn checkpoint_reads_no_log_bytes() {
+        let read_bytes = Arc::new(AtomicU64::new(0));
+        let dir = Arc::new(CountingDir { inner: MemLogDir::new(), read_bytes: read_bytes.clone() });
+        let wal = Wal::create(dir.clone(), ResourceMeter::unmetered()).unwrap();
+        for i in 0..2_000i64 {
+            wal.append_point(0, &point(i as u64 % 5, i)).unwrap();
+        }
+        wal.sync().unwrap();
+        // A mark below the tail (open buffers) and one at the top.
+        wal.truncate_through(1_000).unwrap();
+        wal.append_point(0, &point(1, 5_000)).unwrap();
+        wal.truncate_through(wal.max_lsn()).unwrap();
+        assert_eq!(read_bytes.load(Ordering::Relaxed), 0, "checkpoint read the log");
+        // Control: recovery does read it.
+        wal.append_point(0, &point(1, 5_001)).unwrap();
+        wal.sync().unwrap();
+        Wal::open(dir, ResourceMeter::unmetered()).unwrap();
+        assert!(read_bytes.load(Ordering::Relaxed) > 0);
     }
 
     #[test]
     fn sparse_and_empty_value_vectors_round_trip() {
-        let (log, wal) = mem_wal();
+        let (dir, wal) = mem_wal();
         wal.append_point(0, &Record::new(SourceId(1), Timestamp(5), vec![None, None])).unwrap();
         wal.append_point(0, &Record::new(SourceId(1), Timestamp(6), vec![])).unwrap();
         wal.sync().unwrap();
-        let (_, rec) = Wal::open(log, ResourceMeter::unmetered()).unwrap();
+        let (_, rec) = Wal::open(dir, ResourceMeter::unmetered()).unwrap();
         match &rec.frames[0].entry {
             WalEntry::Point { record, .. } => assert_eq!(record.values, vec![None, None]),
             e => panic!("{e:?}"),
@@ -876,15 +1170,16 @@ mod tests {
 
     #[test]
     fn concurrent_appends_keep_per_source_lsn_order() {
-        let (_, wal) = mem_wal();
+        const PER_SOURCE: i64 = 1_000;
+        let (dir, wal) = mem_wal();
         let mut seen: Vec<Vec<u64>> = vec![Vec::new(); 4];
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4u64)
                 .map(|src| {
                     let wal = &wal;
                     s.spawn(move || {
-                        (0..200i64)
-                            .map(|i| wal.append_point(0, &point(src, i)).unwrap())
+                        (0..PER_SOURCE)
+                            .map(|i| wal.append_point(0, &wide_point(src, i)).unwrap())
                             .collect::<Vec<u64>>()
                     })
                 })
@@ -899,6 +1194,26 @@ mod tests {
         let mut all: Vec<u64> = seen.concat();
         all.sort_unstable();
         all.dedup();
-        assert_eq!(all.len(), 800, "LSNs are globally unique");
+        assert_eq!(all.len(), 4 * PER_SOURCE as usize, "LSNs are globally unique");
+
+        // Across the rolls, each source's frames sit in file order — by
+        // segment id, then offset — in LSN and arrival order.
+        wal.sync().unwrap();
+        assert!(dir.list().unwrap().len() > 1, "the appends must roll at least once");
+        let mut in_file: Vec<Vec<(u64, i64)>> = vec![Vec::new(); 4];
+        for id in dir.list().unwrap() {
+            let (frames, good, _) = parse_frames(&dir.segment(id).unwrap().read_all().unwrap());
+            assert_eq!(good as u64, dir.segment(id).unwrap().len());
+            for f in frames {
+                if let WalEntry::Point { record, .. } = f.entry {
+                    in_file[record.source.0 as usize].push((f.lsn, record.ts.micros()));
+                }
+            }
+        }
+        for (src, frames) in in_file.iter().enumerate() {
+            let lsns: Vec<u64> = frames.iter().map(|f| f.0).collect();
+            assert_eq!(lsns, seen[src], "source {src}: file order differs from LSN order");
+            assert!(frames.iter().enumerate().all(|(i, f)| f.1 == i as i64));
+        }
     }
 }

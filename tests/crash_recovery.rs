@@ -19,12 +19,16 @@
 //! recovery *detects* the corruption, truncates cleanly, and the
 //! surviving data still satisfies the no-duplicates / prefix properties.
 //!
+//! The checkpoint arms put the fault inside a lenient checkpoint — at every
+//! log operation of it in turn, segment roll, creation and removal
+//! included — and require the same contract.
+//!
 //! Seeds: `DURABILITY_SEED=<n>` pins one seed (the CI matrix sets this);
 //! unset, the default sweep covers seeds 1–4.
 
 use odh_core::server::DataServer;
 use odh_pager::disk::MemDisk;
-use odh_pager::log::MemLog;
+use odh_pager::log::{LogDir, MemLogDir};
 use odh_pager::{FailDisk, FailWal, FaultMode, FaultPlan};
 use odh_sim::ResourceMeter;
 use odh_storage::{DeletePredicate, TableConfig};
@@ -123,7 +127,7 @@ struct RecoveryMetrics {
 /// Returns the recovery counters for fault-specific assertions.
 fn verify_recovery(
     disk: Arc<MemDisk>,
-    log: Arc<MemLog>,
+    log: Arc<MemLogDir>,
     outcome: &Outcome,
     require_acked: bool,
     checkpointed: bool,
@@ -223,7 +227,7 @@ fn run_trial(
         "seed {seed} mode {mode:?} fault-after {ops_before_fault} checkpoint {checkpoint_at:?}"
     );
     let disk_media = Arc::new(MemDisk::new());
-    let log_media = Arc::new(MemLog::new());
+    let log_media = Arc::new(MemLogDir::new());
     let plan = FaultPlan::new(seed, mode, ops_before_fault);
     let disk = Arc::new(FailDisk::new(disk_media.clone(), plan.clone()));
     let log = Arc::new(FailWal::new(log_media.clone(), plan.clone()));
@@ -246,7 +250,7 @@ fn run_trial(
 fn clean_crash_without_fault_keeps_every_acked_record() {
     for seed in seeds() {
         let disk_media = Arc::new(MemDisk::new());
-        let log_media = Arc::new(MemLog::new());
+        let log_media = Arc::new(MemLogDir::new());
         let plan = FaultPlan::benign();
         let disk = Arc::new(FailDisk::new(disk_media.clone(), plan.clone()));
         let log = Arc::new(FailWal::new(log_media.clone(), plan.clone()));
@@ -339,7 +343,7 @@ fn checkpoint_mid_stream_never_duplicates_replayed_rows() {
 fn acked_rows_queued_in_seal_pipeline_survive_crash() {
     for seed in seeds() {
         let disk_media = Arc::new(MemDisk::new());
-        let log_media = Arc::new(MemLog::new());
+        let log_media = Arc::new(MemLogDir::new());
         let plan = FaultPlan::benign();
         let disk = Arc::new(FailDisk::new(disk_media.clone(), plan.clone()));
         let log = Arc::new(FailWal::new(log_media.clone(), plan.clone()));
@@ -474,7 +478,7 @@ fn run_compaction_trial(
          checkpoint {checkpoint_at:?} (compacting)"
     );
     let disk_media = Arc::new(MemDisk::new());
-    let log_media = Arc::new(MemLog::new());
+    let log_media = Arc::new(MemLogDir::new());
     let plan = FaultPlan::new(seed, mode, ops_before_fault);
     let disk = Arc::new(FailDisk::new(disk_media.clone(), plan.clone()));
     let log = Arc::new(FailWal::new(log_media.clone(), plan.clone()));
@@ -533,7 +537,7 @@ fn compaction_around_checkpoint_never_duplicates_rows() {
 fn uncheckpointed_generation_is_discarded_on_recovery() {
     for seed in seeds() {
         let disk_media = Arc::new(MemDisk::new());
-        let log_media = Arc::new(MemLog::new());
+        let log_media = Arc::new(MemLogDir::new());
         let plan = FaultPlan::benign();
         let disk = Arc::new(FailDisk::new(disk_media.clone(), plan.clone()));
         let log = Arc::new(FailWal::new(log_media.clone(), plan.clone()));
@@ -687,7 +691,7 @@ fn ingest_with_deletes_until_crash(
 /// the presence requirement but still checked for duplicates.
 fn verify_delete_recovery(
     disk: Arc<MemDisk>,
-    log: Arc<MemLog>,
+    log: Arc<MemLogDir>,
     outcome: &DeleteOutcome,
     require_acked: bool,
     label: &str,
@@ -748,7 +752,7 @@ fn verify_delete_recovery(
 fn run_delete_trial(seed: u64, mode: FaultMode, ops_before_fault: u64) -> DeleteOutcome {
     let label = format!("seed {seed} mode {mode:?} fault-after {ops_before_fault} (deleting)");
     let disk_media = Arc::new(MemDisk::new());
-    let log_media = Arc::new(MemLog::new());
+    let log_media = Arc::new(MemLogDir::new());
     let plan = FaultPlan::new(seed, mode, ops_before_fault);
     let disk = Arc::new(FailDisk::new(disk_media.clone(), plan.clone()));
     let log = Arc::new(FailWal::new(log_media.clone(), plan.clone()));
@@ -854,7 +858,7 @@ fn ingest_with_late_rows_until_crash(
 fn run_side_buffer_trial(seed: u64, mode: FaultMode, ops_before_fault: u64) -> SideOutcome {
     let label = format!("seed {seed} mode {mode:?} fault-after {ops_before_fault} (side-buffer)");
     let disk_media = Arc::new(MemDisk::new());
-    let log_media = Arc::new(MemLog::new());
+    let log_media = Arc::new(MemLogDir::new());
     let plan = FaultPlan::new(seed, mode, ops_before_fault);
     let disk = Arc::new(FailDisk::new(disk_media.clone(), plan.clone()));
     let log = Arc::new(FailWal::new(log_media.clone(), plan.clone()));
@@ -918,6 +922,176 @@ fn kill_and_torn_faults_mid_side_buffer_seal_lose_nothing() {
         }
         assert!(crashed >= 1, "seed {seed}: no fault fired mid-stream with late arrivals");
         assert!(late_acked >= 1, "seed {seed}: no trial acked a late arrival before its fault");
+    }
+}
+
+/// A crash inside a lenient checkpoint, after its image is durable, must
+/// not cost the rows still in open buffers: their frames are the only copy
+/// of them. Five acked rows sit in an open buffer (batch size 8). The
+/// checkpoint's log operation 0 is its leading sync (the stripes are
+/// already flushed); the image is written and made durable before
+/// operation 1. The log device dies on operation 1, then — one trial each
+/// — on every later one until the checkpoint finishes before the fault.
+/// Every trial must recover all five rows.
+#[test]
+fn checkpoint_keeps_open_rows_when_the_log_dies_after_the_image() {
+    for seed in seeds() {
+        for step in 1.. {
+            let label = format!("seed {seed} log op {step}");
+            let disk_media = Arc::new(MemDisk::new());
+            let log_media = Arc::new(MemLogDir::new());
+            let plan = FaultPlan::new(seed, FaultMode::Kill, u64::MAX);
+            let log = Arc::new(FailWal::new(log_media.clone(), plan.clone()));
+            {
+                let server = DataServer::with_disk_wal(
+                    0,
+                    ResourceMeter::unmetered(),
+                    disk_media.clone(),
+                    POOL_FRAMES,
+                    log,
+                )
+                .unwrap();
+                let table = server.create_table(table_cfg()).unwrap();
+                table.register_source(SourceId(0), SourceClass::irregular_high()).unwrap();
+                for k in 0..5 {
+                    table.put(&record(0, k)).unwrap();
+                }
+                server.sync().unwrap();
+                plan.arm(step);
+                let died = server.checkpoint().is_err();
+                assert_eq!(died, plan.triggered(), "{label}: checkpoint result vs fault");
+            }
+            // The image is durable: the table comes back from the disk alone.
+            let image =
+                DataServer::open(0, ResourceMeter::unmetered(), disk_media.clone(), POOL_FRAMES)
+                    .unwrap();
+            assert!(image.table("plant").is_ok(), "{label}: the checkpoint image is missing");
+            drop(image);
+            let server = DataServer::open_with_wal(
+                0,
+                ResourceMeter::unmetered(),
+                disk_media,
+                POOL_FRAMES,
+                log_media,
+            )
+            .unwrap();
+            let rows = server
+                .table("plant")
+                .unwrap()
+                .historical_scan(SourceId(0), Timestamp(0), Timestamp(i64::MAX), &[0])
+                .unwrap();
+            assert_eq!(rows.len(), 5, "{label}: {} of 5 acked rows recovered", rows.len());
+            if !plan.triggered() {
+                assert!(step > 1, "seed {seed}: the checkpoint did no log op after its image");
+                break;
+            }
+        }
+    }
+}
+
+/// Where the checkpoint sweep's target checkpoint stands in the log.
+struct CheckpointRun {
+    outcome: Outcome,
+    /// Log operations the target checkpoint performed (or reached).
+    steps: u64,
+    /// Segment ids before and after the target checkpoint.
+    segments: (Vec<u64>, Vec<u64>),
+}
+
+/// Two checkpoints over a stream that keeps rows in open buffers. The
+/// first keeps the segment holding them; by the second (the target) they
+/// have sealed, so it rolls a segment and drops the first. The target is
+/// preceded by unsynced rows, so its leading sync appends too. With
+/// `fault_at`, the plan is armed right before the target so that its
+/// `fault_at`-th log operation fails. Sealing runs inline, so every run
+/// of one seed performs the same log operations in the same order.
+fn ingest_and_checkpoint(
+    seed: u64,
+    disk: Arc<MemDisk>,
+    log_media: &Arc<MemLogDir>,
+    plan: &Arc<FaultPlan>,
+    fault_at: Option<u64>,
+) -> CheckpointRun {
+    let log = Arc::new(FailWal::new(log_media.clone(), plan.clone()));
+    let server =
+        DataServer::with_disk_wal(0, ResourceMeter::unmetered(), disk, POOL_FRAMES, log).unwrap();
+    let table = server.create_table(table_cfg().with_seal_workers(0)).unwrap();
+    for s in 0..SOURCES {
+        let class =
+            if s % 2 == 0 { SourceClass::irregular_high() } else { SourceClass::irregular_low() };
+        table.register_source(SourceId(s), class).unwrap();
+    }
+    let mut sent: HashMap<u64, usize> = HashMap::new();
+    let put = |from: usize, to: usize, sent: &mut HashMap<u64, usize>| {
+        for i in from..to {
+            let s = i as u64 % SOURCES;
+            table.put(&record(s, i / SOURCES as usize)).unwrap();
+            *sent.entry(s).or_insert(0) += 1;
+        }
+    };
+    // Three rows per source stay open at the first checkpoint; they seal
+    // before the target, where another five per source are open.
+    let first = SOURCES as usize * (8 * (2 + seed as usize % 3) + 3);
+    put(0, first, &mut sent);
+    server.checkpoint().unwrap();
+    let synced = first + SOURCES as usize * 6;
+    put(first, synced, &mut sent);
+    server.sync().unwrap();
+    let mut acked = sent.clone();
+    put(synced, synced + SOURCES as usize * 4, &mut sent);
+    let before_ids = log_media.list().unwrap();
+    let before_ops = plan.ops();
+    if let Some(k) = fault_at {
+        plan.arm(k);
+    }
+    if server.checkpoint().is_ok() {
+        acked = sent.clone();
+    }
+    let steps = plan.ops() - before_ops;
+    let after_ids = log_media.list().unwrap();
+    CheckpointRun {
+        outcome: Outcome { sent, acked, triggered: plan.triggered() },
+        steps,
+        segments: (before_ids, after_ids),
+    }
+}
+
+/// A fault at every log operation of a lenient checkpoint — the stripe
+/// flushes and fsync of its leading sync, the roll's fsync and segment
+/// creation, and each segment removal — in `Kill` and `Torn` mode: no
+/// synced row is lost and none replays twice.
+#[test]
+fn faults_at_every_checkpoint_log_step_lose_nothing() {
+    for seed in seeds() {
+        // Benign run: count the target checkpoint's log operations.
+        let log_media = Arc::new(MemLogDir::new());
+        let plan = FaultPlan::new(seed, FaultMode::Kill, u64::MAX);
+        let clean = ingest_and_checkpoint(seed, Arc::new(MemDisk::new()), &log_media, &plan, None);
+        let (before, after) = &clean.segments;
+        assert!(
+            after.iter().any(|id| !before.contains(id)),
+            "seed {seed}: the checkpoint created no segment"
+        );
+        assert!(
+            before.iter().any(|id| !after.contains(id)),
+            "seed {seed}: the checkpoint removed no segment ({before:?} → {after:?})"
+        );
+        assert!(clean.steps >= 4, "seed {seed}: only {} checkpoint log ops", clean.steps);
+
+        for step in 0..clean.steps {
+            for mode in [FaultMode::Kill, FaultMode::Torn] {
+                let label = format!("seed {seed} mode {mode:?} checkpoint log op {step}");
+                let disk_media = Arc::new(MemDisk::new());
+                let log_media = Arc::new(MemLogDir::new());
+                let plan = FaultPlan::new(seed, mode, u64::MAX);
+                let run =
+                    ingest_and_checkpoint(seed, disk_media.clone(), &log_media, &plan, Some(step));
+                assert!(run.outcome.triggered, "{label}: the fault never fired");
+                assert_eq!(run.steps, step + 1, "{label}: the checkpoint went on after the fault");
+                plan.disarm();
+                verify_recovery(disk_media, log_media, &run.outcome, true, true, &label);
+            }
+        }
     }
 }
 

@@ -13,7 +13,7 @@ use odh_core::server::DataServer;
 use odh_core::{Cluster, Historian};
 use odh_net::{NetClient, NetServer, NetServerConfig};
 use odh_pager::disk::MemDisk;
-use odh_pager::log::MemLog;
+use odh_pager::log::MemLogDir;
 use odh_pager::{FailDisk, FailWal, FaultMode, FaultPlan};
 use odh_sim::ResourceMeter;
 use odh_storage::TableConfig;
@@ -237,7 +237,7 @@ fn kill_mid_stream_keeps_every_acked_frame() {
         let ops_before = 120 + trial * 180;
         let plan = FaultPlan::new(seed.wrapping_add(trial), FaultMode::Kill, ops_before);
         let mem_disk = Arc::new(MemDisk::new());
-        let mem_log = Arc::new(MemLog::new());
+        let mem_log = Arc::new(MemLogDir::new());
         let disk = Arc::new(FailDisk::new(mem_disk.clone(), plan.clone()));
         let log = Arc::new(FailWal::new(mem_log.clone(), plan.clone()));
         let meter = ResourceMeter::unmetered();

@@ -5,7 +5,7 @@
 use odh_core::server::DataServer;
 use odh_core::Historian;
 use odh_pager::disk::MemDisk;
-use odh_pager::log::{LogStore, MemLog};
+use odh_pager::log::{LogStore, MemLogDir};
 use odh_sim::ResourceMeter;
 use odh_storage::{TableConfig, Wal};
 use odh_types::{Datum, Duration, Record, SchemaType, SourceClass, SourceId, Timestamp};
@@ -157,9 +157,10 @@ fn opening_nothing_fails_cleanly_and_strict_snapshot_refuses() {
 /// physically shortens the log so the tear can't shadow later appends.
 #[test]
 fn torn_wal_tail_is_truncated_on_open() {
-    let log = Arc::new(MemLog::new());
+    let dir = Arc::new(MemLogDir::new());
     let meter = ResourceMeter::unmetered();
-    let wal = Wal::create(log.clone(), meter.clone()).unwrap();
+    let wal = Wal::create(dir.clone(), meter.clone()).unwrap();
+    let log = dir.segment(1).unwrap();
     let rec = |i: i64| Record::dense(SourceId(7), Timestamp(i), [i as f64]);
     for i in 0..5 {
         wal.append_point(3, &rec(i)).unwrap();
@@ -175,7 +176,7 @@ fn torn_wal_tail_is_truncated_on_open() {
     log.set_len(good_len + (full.len() as u64 - good_len) / 2).unwrap();
     drop(wal);
 
-    let (wal, recovery) = Wal::open(log.clone(), meter.clone()).unwrap();
+    let (wal, recovery) = Wal::open(dir.clone(), meter.clone()).unwrap();
     assert_eq!(recovery.frames.len(), 5, "only complete frames survive");
     assert!(recovery.warning.is_some(), "the tear is reported");
     assert!(recovery.truncated_bytes > 0);
@@ -185,14 +186,14 @@ fn torn_wal_tail_is_truncated_on_open() {
     // A bit flipped inside an earlier frame stops the scan there too.
     drop(wal);
     log.flip_bit(good_len / 2);
-    let (_, recovery) = Wal::open(log.clone(), meter).unwrap();
+    let (_, recovery) = Wal::open(dir, meter).unwrap();
     assert!(recovery.frames.len() < 5, "frames behind the corruption are dropped");
     assert!(recovery.warning.is_some());
 }
 
-fn crash_server(meter: &Arc<ResourceMeter>) -> (Arc<MemDisk>, Arc<MemLog>, DataServer) {
+fn crash_server(meter: &Arc<ResourceMeter>) -> (Arc<MemDisk>, Arc<MemLogDir>, DataServer) {
     let disk = Arc::new(MemDisk::new());
-    let log = Arc::new(MemLog::new());
+    let log = Arc::new(MemLogDir::new());
     let server =
         DataServer::with_disk_wal(0, meter.clone(), disk.clone(), 512, log.clone()).unwrap();
     (disk, log, server)
@@ -303,5 +304,99 @@ fn lenient_checkpoint_keeps_buffers_open_and_wal_replays_them() {
     let h = Historian::open(&dir, 8).unwrap();
     let r = h.sql("select COUNT(*) from m_v where id = 1").unwrap();
     assert_eq!(r.rows[0].get(0), &Datum::I64(7), "buffered points replayed from the WAL");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every file under `from` (one level of subdirectories: the
+/// `server<N>.wal/` segment directories), copied into `to`.
+fn copy_tree(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        let dest = to.join(path.file_name().unwrap());
+        if path.is_dir() {
+            copy_tree(&path, &dest);
+        } else {
+            std::fs::copy(&path, &dest).unwrap();
+        }
+    }
+}
+
+fn segment_files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir.join("server0.wal"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// The file-backed segmented WAL across a checkpoint with open buffers:
+/// a disk historian checkpoints twice (the second checkpoint drops the
+/// segment the first one kept) and is dropped. Reopened as left — after
+/// the segment deletion — and as a crash would leave it just before the
+/// deletion (the dropped segment restored next to the new checkpoint
+/// image), `Historian::open` must recover every synced row from the
+/// `server<N>.wal/` segments exactly once.
+#[test]
+fn file_backed_segments_recover_open_buffers_across_checkpoints() {
+    const SOURCES: u64 = 4;
+    let dir = tmpdir("segments");
+    let seed: u64 = std::env::var("DURABILITY_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let mut rows_per_source = 0i64;
+    let before_drop = dir.join("before-drop");
+    let after_drop = dir.join("after-drop");
+    {
+        let h = Historian::builder().servers(2).disk_dir(&after_drop).build().unwrap();
+        h.define_schema_type(TableConfig::new(SchemaType::new("m", ["x"])).with_batch_size(8))
+            .unwrap();
+        for id in 0..SOURCES {
+            h.register_source("m", SourceId(id), SourceClass::irregular_high()).unwrap();
+        }
+        let w = h.writer("m").unwrap();
+        let mut write = |n: i64| {
+            for _ in 0..n {
+                for id in 0..SOURCES {
+                    let ts = rows_per_source * 1_000 + id as i64;
+                    w.write(&Record::dense(SourceId(id), Timestamp(ts), [ts as f64])).unwrap();
+                }
+                rows_per_source += 1;
+            }
+        };
+        // 8k + 3 rows per source: three per source stay buffered.
+        write(19 + 8 * (seed as i64 % 3));
+        h.checkpoint().unwrap();
+        let kept = segment_files(&after_drop);
+        // The buffered rows seal; five newer ones per source stay open.
+        write(10);
+        h.sync().unwrap();
+        let snapshot = dir.join("snapshot");
+        copy_tree(&after_drop, &snapshot);
+        h.checkpoint().unwrap();
+        let dropped: Vec<String> =
+            kept.iter().filter(|f| !segment_files(&after_drop).contains(f)).cloned().collect();
+        assert!(!dropped.is_empty(), "the second checkpoint dropped no segment");
+        // The crash state just before the deletion: the new image with
+        // every old segment still in place.
+        copy_tree(&after_drop, &before_drop);
+        for f in &dropped {
+            let rel = std::path::Path::new("server0.wal").join(f);
+            std::fs::copy(snapshot.join(&rel), before_drop.join(&rel)).unwrap();
+        }
+    } // historian dropped: memory state gone
+
+    for (arm, path) in [("after the drop", &after_drop), ("before the drop", &before_drop)] {
+        let h = Historian::open(path, 8).unwrap();
+        let server = &h.cluster().servers()[0];
+        assert!(server.wal().is_some(), "{arm}: the segment directory was not reopened");
+        for id in 0..SOURCES {
+            let rows = h.sql(&format!("select timestamp from m_v where id = {id}")).unwrap().rows;
+            assert_eq!(rows.len() as i64, rows_per_source, "{arm}: source {id} rows");
+            let mut ts: Vec<String> = rows.iter().map(|r| format!("{:?}", r.get(0))).collect();
+            ts.sort();
+            ts.dedup();
+            assert_eq!(ts.len() as i64, rows_per_source, "{arm}: source {id} replayed a row twice");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
