@@ -39,7 +39,7 @@ struct CompressionReport {
 /// Load into ODH and reorganize sealed MG history into per-source
 /// RTS/IRTS batches — the state in which low-frequency history lives
 /// long-term (Table 1), and the one the paper's compression numbers
-/// describe. Note the reorganizer re-encodes with the same policy, so a
+/// describe. Note the MG drain re-encodes with the same policy, so a
 /// lossy run compounds the bound to ≤2×max_dev; this is a storage study,
 /// not an accuracy one.
 fn load_odh(records: &[Record], spec: &LdSpec, policy: Policy) -> u64 {

@@ -1,7 +1,8 @@
 //! Dump the unified metrics exposition after a small representative
-//! workload: durable ingest across two servers, a flush, a
-//! reorganization, summary-pushdown and row-path SQL, and a decode-cache
-//! re-scan — enough to touch every pipeline stage that registers metrics.
+//! workload: durable ingest across two servers, a flush, a compaction
+//! pass that drains MG history per source, summary-answered and row-path
+//! SQL, and a decode-cache re-scan — enough to touch every pipeline stage
+//! that registers metrics.
 //!
 //! Modes:
 //! - default: print the full Prometheus-style exposition

@@ -205,14 +205,6 @@ impl Cluster {
         Ok(())
     }
 
-    pub fn reorganize(&self) -> Result<u64> {
-        let mut moved = 0;
-        for s in &self.servers {
-            moved += s.reorganize()?;
-        }
-        Ok(moved)
-    }
-
     /// Apply a predicate delete to a schema type. Source-list predicates
     /// resolve to the owning servers (partition elimination); a pure
     /// time-range delete fans out to the whole fleet. The deletes are

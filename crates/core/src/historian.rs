@@ -529,13 +529,16 @@ impl Historian {
         Ok(())
     }
 
-    /// Run the MG → RTS/IRTS reorganizer across the cluster.
+    /// Move sealed MG history into per-source RTS/IRTS batches: one
+    /// compaction pass (see [`Historian::compact`]), which drains the MG
+    /// generation as part of its rewrite. Returns the MG points moved.
     pub fn reorganize(&self) -> Result<u64> {
-        self.cluster.reorganize()
+        Ok(self.compact()?.mg_points_moved)
     }
 
     /// Run one generational compaction pass across the cluster (merge
-    /// small sealed batches, demote cold generations, drop expired ones).
+    /// small sealed batches, drain sealed MG history per source, demote
+    /// cold generations, drop expired ones).
     /// Background workers do this on their own when tables are configured
     /// with a compaction interval; this is the manual/administrative
     /// trigger. Returns the summed per-table reports.

@@ -499,14 +499,6 @@ impl DataServer {
         Ok(())
     }
 
-    pub fn reorganize(&self) -> Result<u64> {
-        let mut moved = 0;
-        for t in self.tables.read().values() {
-            moved += t.reorganize()?;
-        }
-        Ok(moved)
-    }
-
     /// Run one compaction pass over every table (see
     /// [`odh_storage::compact`]); reports are summed.
     pub fn compact(&self) -> Result<odh_storage::CompactReport> {

@@ -2,9 +2,9 @@
 //! span timing for the ODH pipeline.
 //!
 //! Every pipeline stage (ingest shard acquire, WAL append/fsync, batch
-//! seal, reorganization, buffer-pool traffic, decode-cache hits, summary
-//! pushdown, SQL plan/exec) publishes into one [`Registry`], which renders
-//! a Prometheus-style text exposition. The design constraints, in order:
+//! seal, compaction and its MG drain, buffer-pool traffic, decode-cache
+//! hits, summary answering, SQL plan/exec) publishes into one
+//! [`Registry`], which renders a Prometheus-style text exposition. The design constraints, in order:
 //!
 //! 1. **Hot-path cost is one relaxed `fetch_add`.** Handles
 //!    ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`s obtained once at

@@ -14,9 +14,9 @@
 //!   to the same bytes. There is nothing to invalidate on re-seal: a new
 //!   seal is always a new rid.
 //! - Container ids are process-unique ([`crate::container::Container`]),
-//!   so a reorganized-away MG generation's entries can never alias the
-//!   fresh generation. [`DecodeCache::invalidate_container`] reclaims
-//!   their bytes eagerly when the reorganizer drops a generation.
+//!   so the entries of a generation a compaction pass replaced can never
+//!   alias its replacement. [`DecodeCache::invalidate_container`] reclaims
+//!   their bytes eagerly when the pass drops the old generation.
 //! - Tag columns are decoded on first request per tag, not eagerly: a
 //!   miss on a wide schema charges only the projected tags, preserving
 //!   the tag-oriented projection economics of the blob layout.
@@ -219,7 +219,8 @@ impl DecodeCache {
         }
     }
 
-    /// Drop every entry of one container (a reorganized-away generation).
+    /// Drop every entry of one container (a generation a compaction pass
+    /// replaced).
     pub fn invalidate_container(&self, container: u64) {
         for shard in &self.shards {
             let mut g = shard.lock();

@@ -115,16 +115,6 @@ impl Container {
         Batch::deserialize(&payload)
     }
 
-    /// Every batch in the container (reorganizer input).
-    pub fn scan_all(&self) -> Result<Vec<Batch>> {
-        let mut out = Vec::new();
-        for rec in self.heap.scan() {
-            let (_, payload) = rec?;
-            out.push(Batch::deserialize(&payload)?);
-        }
-        Ok(out)
-    }
-
     /// Capture the container's recovery image (flush the pool first).
     pub fn snapshot(&self) -> ContainerSnapshot {
         ContainerSnapshot {
@@ -224,13 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn scan_all_sees_everything() {
+    fn all_rids_sees_everything() {
         let c = container();
         for i in 0..7i64 {
             let b = rts(1, i * 1000, 3);
             c.insert(&b.key(), &b.serialize(), b.end() - b.begin).unwrap();
         }
-        assert_eq!(c.scan_all().unwrap().len(), 7);
+        assert_eq!(c.all_rids().unwrap().len(), 7);
         assert!(c.size_bytes() > 0);
     }
 

@@ -18,8 +18,8 @@
 //! values live in tag-oriented [`blob::ValueBlob`]s so that projecting one
 //! tag of a wide schema decodes one section, not the whole blob; in-flight
 //! ingest buffers ([`buffer`]) are visible to scans (the paper's
-//! "dirty-read" isolation); and a background-style [`reorg`] pass rewrites
-//! sealed MG batches into per-source RTS/IRTS batches, which is how Table 1
+//! "dirty-read" isolation); and each [`compact`] pass drains sealed MG
+//! batches into per-source RTS/IRTS batches, which is how Table 1
 //! can prescribe MG for ingestion/slice but RTS/IRTS for historical queries
 //! on the same low-frequency sources.
 
@@ -31,7 +31,6 @@ pub mod compact;
 pub mod container;
 pub mod delete;
 pub mod registry;
-pub mod reorg;
 pub mod seal;
 pub mod select;
 pub mod snapshot;

@@ -10,8 +10,8 @@
 //! High-frequency sources fill per-source batches quickly, so they ingest
 //! straight into RTS/IRTS. A low-frequency source would take hours to fill
 //! a batch (a 15-minute meter needs `b × 15 min`), so points are grouped
-//! *across* sources (MG) at ingestion time; the [`crate::reorg`] pass later
-//! rewrites sealed MG batches into per-source RTS/IRTS, which is what
+//! *across* sources (MG) at ingestion time; each [`crate::compact`] pass
+//! later drains sealed MG batches into per-source RTS/IRTS, which is what
 //! historical queries read.
 
 use odh_types::{FrequencyClass, SourceClass};
@@ -69,8 +69,8 @@ pub fn slice_structure(class: SourceClass) -> Structure {
     structure_for(class, Operation::SliceQuery)
 }
 
-/// Structure a historical query prefers for this class (what the
-/// reorganizer produces for low-frequency sources).
+/// Structure a historical query prefers for this class (what a
+/// compaction pass drains low-frequency MG history into).
 pub fn historical_structure(class: SourceClass) -> Structure {
     structure_for(class, Operation::HistoricalQuery)
 }

@@ -33,7 +33,8 @@ pub struct StorageStats {
     pub raw_bytes: Arc<Counter>,
     /// Points returned by scans.
     pub points_scanned: Arc<Counter>,
-    /// Batches rewritten by the reorganizer.
+    /// Sealed MG batches a compaction pass drained into per-source
+    /// batches (`odh_table_batches_reorganized_total`).
     pub batches_reorganized: Arc<Counter>,
     /// Batches skipped without blob decode thanks to tag zone bounds.
     pub batches_zone_pruned: Arc<Counter>,

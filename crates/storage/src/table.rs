@@ -422,10 +422,10 @@ pub(crate) struct SealSync {
 impl SealSync {
     /// Writer side: RAII ticket held from before the buffer take until the
     /// batch is queryable (dropped on error paths too). The compactor
-    /// holds one across its generation swaps, and the reorganizer across
-    /// its MG drain, for the same reason: any composite read that
-    /// overlaps the move retries, so a reader can never see a row in both
-    /// its old and new place (or in neither).
+    /// holds one across its generation swaps (MG drain included) for the
+    /// same reason: any composite read that overlaps the move retries, so
+    /// a reader can never see a row in both its old and new place (or in
+    /// neither).
     pub(crate) fn begin(&self) -> SealTicket<'_> {
         self.started.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         SealTicket(self)
@@ -478,7 +478,8 @@ pub(crate) struct TableObs {
     pub registry: Arc<odh_obs::Registry>,
     /// Batch seal latency (encode + container insert, queue wait excluded).
     pub seal: Arc<odh_obs::Histogram>,
-    /// Whole-table reorganization latency.
+    /// MG-drain stage of a compaction pass (decode and per-source regroup
+    /// of the sealed MG batches); observed only by passes that drain.
     pub reorg: Arc<odh_obs::Histogram>,
     /// Jobs handed to the off-thread seal pipeline.
     pub queue_enqueued: Arc<odh_obs::Counter>,
@@ -579,8 +580,9 @@ pub struct OdhTable {
     pub(crate) compact_lock: parking_lot::Mutex<()>,
     /// Background compactor, set once by [`OdhTable::start_compactor`].
     pub(crate) compactor: std::sync::OnceLock<crate::compact::CompactorHandle>,
-    /// Set once [`OdhTable::reorganize`] has run: slice scans must then also
-    /// consult the per-source containers for MG sources.
+    /// Set once a compaction pass has moved MG rows into per-source
+    /// batches: slice scans must then also consult the per-source
+    /// containers for MG sources.
     pub(crate) reorganized: std::sync::atomic::AtomicBool,
     pub(crate) stats: StorageStats,
     /// Span histograms + registry handle (shared via the meter).
@@ -1598,12 +1600,12 @@ impl OdhTable {
     /// Install pre-serialized batches into their containers. Fast (no
     /// encoding) — the seal pipeline calls this under a seal ticket.
     fn install_built(&self, batches: &[BuiltBatch]) -> Result<()> {
-        // Hold the generation lock across each insert: the reorganizer
-        // (MG) and the compactor (RTS/IRTS) swap generations under the
-        // write lock, so an insert can never land in an already-swapped
-        // container unseen — it either completes before the swap (and the
-        // compactor's latecomer pass carries it over) or starts after and
-        // goes to the fresh generation.
+        // Hold the generation lock across each insert: the compactor swaps
+        // generations (MG included) under the write lock, so an insert can
+        // never land in an already-swapped container unseen — it either
+        // completes before the swap (and the compactor's latecomer pass
+        // carries it over) or starts after and goes to the fresh
+        // generation.
         for b in batches {
             let g = match b.structure {
                 Structure::Rts => self.rts.read(),
@@ -1827,7 +1829,7 @@ impl OdhTable {
     ///
     /// 1. the per-source generations (hot RTS, hot IRTS, cold) — all of
     ///    them whatever a source's class, since the compactor re-types
-    ///    merged windows and reorganization moves MG history there;
+    ///    merged windows and drains MG history there;
     /// 2. the open and side buffers of the per-source structures;
     /// 3. per MG group, its sealed batches then its open group buffer;
     /// 4. rows handed to the seal pipeline but not yet installed.
@@ -2244,7 +2246,11 @@ fn owned_chunk(
 }
 
 /// Sort rows by timestamp (stable), carrying ids and columns along.
-fn sort_rows(ts: &mut [i64], ids: Option<&mut Vec<SourceId>>, cols: &mut [Vec<Option<f64>>]) {
+pub(crate) fn sort_rows(
+    ts: &mut [i64],
+    ids: Option<&mut Vec<SourceId>>,
+    cols: &mut [Vec<Option<f64>>],
+) {
     let n = ts.len();
     if ts.windows(2).all(|w| w[0] <= w[1]) {
         return;

@@ -3,7 +3,7 @@
 //! A province-scale Advanced Metering Infrastructure: hundreds of
 //! thousands of meters (scaled down here) reporting every 15 minutes.
 //! Regular low-frequency sources ingest through Mixed-Grouping batches;
-//! after a day of sweeps the reorganizer rewrites sealed MG history into
+//! after a day of sweeps a compaction pass drains sealed MG history into
 //! per-meter RTS batches (timestamps become implicit — they are a fixed
 //! 15-minute grid), and historical per-meter queries get fast.
 //!

@@ -31,7 +31,7 @@ use odh_pager::disk::MemDisk;
 use odh_pager::log::{LogDir, MemLogDir};
 use odh_pager::{FailDisk, FailWal, FaultMode, FaultPlan};
 use odh_sim::ResourceMeter;
-use odh_storage::{DeletePredicate, TableConfig};
+use odh_storage::{CompactReport, DeletePredicate, TableConfig};
 use odh_types::{Record, SchemaType, SourceClass, SourceId, Timestamp};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -412,40 +412,41 @@ fn compacting_cfg() -> TableConfig {
 /// land before, during, and after generation rewrites. A deliberately
 /// small pool forces evictions of the fresh generations' pages, pushing
 /// compaction's own writes through the fault-injecting disk. Returns the
-/// outcome plus how many batches compaction merged before the crash.
+/// outcome plus the summed reports of the passes that completed before
+/// the crash.
 fn ingest_with_compaction_until_crash(
     disk: Arc<FailDisk>,
     log: Arc<FailWal>,
     plan: &Arc<FaultPlan>,
     checkpoint_at: Option<usize>,
     compact_every: usize,
-) -> (Outcome, u64) {
+) -> (Outcome, CompactReport) {
     let server = DataServer::with_disk_wal(0, ResourceMeter::unmetered(), disk, 64, log).unwrap();
-    let mut merged = 0u64;
+    let mut done = CompactReport::default();
     let mut sent: HashMap<u64, usize> = HashMap::new();
     let mut acked: HashMap<u64, usize> = HashMap::new();
     let table = match server.create_table(compacting_cfg()) {
         Ok(t) => t,
-        Err(_) => return (Outcome { sent, acked, triggered: plan.triggered() }, merged),
+        Err(_) => return (Outcome { sent, acked, triggered: plan.triggered() }, done),
     };
     for s in 0..SOURCES {
         let class =
             if s % 2 == 0 { SourceClass::irregular_high() } else { SourceClass::irregular_low() };
         if table.register_source(SourceId(s), class).is_err() {
-            return (Outcome { sent, acked, triggered: plan.triggered() }, merged);
+            return (Outcome { sent, acked, triggered: plan.triggered() }, done);
         }
     }
     for i in 0..RECORDS {
         let s = i as u64 % SOURCES;
         if table.put(&record(s, i / SOURCES as usize)).is_err() {
-            return (Outcome { sent, acked, triggered: plan.triggered() }, merged);
+            return (Outcome { sent, acked, triggered: plan.triggered() }, done);
         }
         *sent.entry(s).or_insert(0) += 1;
         if (i + 1) % compact_every == 0 {
             match table.compact() {
-                Ok(report) => merged += report.merged_batches,
+                Ok(report) => done.absorb(&report),
                 // A fault inside the rewrite: crash with the pass half done.
-                Err(_) => return (Outcome { sent, acked, triggered: plan.triggered() }, merged),
+                Err(_) => return (Outcome { sent, acked, triggered: plan.triggered() }, done),
             }
         }
         let barrier_ok = if Some(i) == checkpoint_at {
@@ -458,13 +459,13 @@ fn ingest_with_compaction_until_crash(
         if barrier_ok {
             acked = sent.clone();
         } else {
-            return (Outcome { sent, acked, triggered: plan.triggered() }, merged);
+            return (Outcome { sent, acked, triggered: plan.triggered() }, done);
         }
     }
     if server.sync().is_ok() {
         acked = sent.clone();
     }
-    (Outcome { sent, acked, triggered: plan.triggered() }, merged)
+    (Outcome { sent, acked, triggered: plan.triggered() }, done)
 }
 
 fn run_compaction_trial(
@@ -472,7 +473,7 @@ fn run_compaction_trial(
     mode: FaultMode,
     ops_before_fault: u64,
     checkpoint_at: Option<usize>,
-) -> (Trial, u64) {
+) -> (Trial, CompactReport) {
     let label = format!(
         "seed {seed} mode {mode:?} fault-after {ops_before_fault} \
          checkpoint {checkpoint_at:?} (compacting)"
@@ -482,30 +483,38 @@ fn run_compaction_trial(
     let plan = FaultPlan::new(seed, mode, ops_before_fault);
     let disk = Arc::new(FailDisk::new(disk_media.clone(), plan.clone()));
     let log = Arc::new(FailWal::new(log_media.clone(), plan.clone()));
-    let (outcome, merged) = ingest_with_compaction_until_crash(disk, log, &plan, checkpoint_at, 40);
+    let (outcome, done) = ingest_with_compaction_until_crash(disk, log, &plan, checkpoint_at, 40);
     let metrics =
         verify_recovery(disk_media, log_media, &outcome, true, checkpoint_at.is_some(), &label);
-    (Trial { crashed: outcome.triggered, metrics }, merged)
+    (Trial { crashed: outcome.triggered, metrics }, done)
 }
 
 /// Kill and torn-write faults landing around (and, via the small pool's
-/// eviction traffic, inside) generation rewrites: compaction must never
-/// widen the durability contract. Nothing acknowledged is lost, nothing
-/// is duplicated — a half-applied swap would surface as both.
+/// eviction traffic, inside) generation rewrites and MG drains:
+/// compaction must never widen the durability contract. Nothing
+/// acknowledged is lost, nothing is duplicated — a half-applied swap
+/// would surface as both.
 #[test]
 fn kill_and_torn_faults_mid_compaction_lose_nothing() {
     for seed in seeds() {
         let mut crashed = 0usize;
-        let mut merged = 0u64;
+        let mut done = CompactReport::default();
         for &ops in &[10, 45, 110, 200, 320] {
             for mode in [FaultMode::Kill, FaultMode::Torn] {
-                let (trial, m) = run_compaction_trial(seed, mode, ops + seed % 9, None);
+                let (trial, report) = run_compaction_trial(seed, mode, ops + seed % 9, None);
                 crashed += trial.crashed as usize;
-                merged += m;
+                done.absorb(&report);
             }
         }
         assert!(crashed >= 1, "seed {seed}: no fault fired mid-stream with compaction running");
-        assert!(merged >= 1, "seed {seed}: no trial compacted anything before its fault");
+        assert!(
+            done.merged_batches >= 1,
+            "seed {seed}: no trial compacted anything before its fault"
+        );
+        assert!(
+            done.mg_points_moved >= 1,
+            "seed {seed}: no trial drained MG rows before its fault"
+        );
     }
 }
 

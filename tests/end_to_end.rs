@@ -1,5 +1,5 @@
 //! Cross-crate integration: the full historian pipeline from ingest to
-//! SQL, across schema types, structures, and the reorganizer.
+//! SQL, across schema types, structures, and the MG drain.
 
 use odh_core::Historian;
 use odh_storage::TableConfig;
