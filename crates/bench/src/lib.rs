@@ -617,6 +617,9 @@ fn run_query_point(
     })
 }
 
+/// Rows per sealed batch in the query-bench historian.
+pub const QUERY_BATCH_ROWS: u64 = 128;
+
 /// Build the query-bench historian: `QUERY_SOURCES` irregular sources
 /// (default 48) with `QUERY_POINTS` records each (default 1024) across
 /// four tags, sealed into 128-point batches on a two-server cluster
@@ -630,7 +633,7 @@ pub fn query_bench_historian() -> Result<(Arc<Historian>, u64, u64)> {
     let h = Arc::new(Historian::builder().servers(2).metered_cores(BENCH_CORES).build()?);
     h.define_schema_type(
         TableConfig::new(odh_types::SchemaType::new("qb", ["t0", "t1", "t2", "t3"]))
-            .with_batch_size(128),
+            .with_batch_size(QUERY_BATCH_ROWS as usize),
     )?;
     for s in 0..sources {
         h.register_source("qb", SourceId(s), SourceClass::irregular_high())?;

@@ -137,7 +137,9 @@ pub trait TableProvider: Send + Sync {
 
     /// Produce full-arity rows matching the pushed filters. Providers may
     /// return a superset (the executor re-applies every predicate) and may
-    /// leave non-`needed` cells NULL.
+    /// leave non-`needed` cells NULL. Rows equal on every filtered column
+    /// keep one relative order whatever the filters: ASOF JOIN breaks
+    /// timestamp ties by scan order, and narrows its right-side scans.
     fn scan(&self, req: &ScanRequest) -> Result<Vec<Row>>;
 
     /// Columnar variant of [`TableProvider::scan`]: typed column vectors,

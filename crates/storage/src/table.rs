@@ -1707,6 +1707,9 @@ impl OdhTable {
     }
 
     /// The row consumer: every row of `scope`, sorted by `(ts, source)`.
+    /// The sort is stable: rows equal on both keep read-pass order, which
+    /// lists one source's rows alike whatever the scope, so a one-source
+    /// scan and a scan of every source order them the same.
     fn scan_rows(
         &self,
         scope: Scope<'_>,
@@ -1720,7 +1723,7 @@ impl OdhTable {
         else {
             unreachable!("a row read yields rows")
         };
-        out.sort_unstable_by_key(|p| (p.ts, p.source));
+        out.sort_by_key(|p| (p.ts, p.source));
         let points: u64 =
             out.iter().map(|p| p.values.iter().filter(|v| v.is_some()).count() as u64).sum();
         self.stats.points_scanned.add(points);
