@@ -144,22 +144,30 @@ impl TableProvider for RelTable {
         }
     }
 
+    /// Rows come in insertion order on both paths: an index-driven scan
+    /// sorts its record ids, which the append-only heap hands out in
+    /// insertion order, so rows equal on the filtered columns keep the
+    /// relative order a full scan gives them.
     fn scan(&self, req: &ScanRequest) -> Result<Vec<Row>> {
         if let Some((col, index, filter)) = self.pick_index_filter(&req.filters) {
             let dtype = self.inner.schema.columns[col].dtype;
-            let rows = match filter {
-                ColumnFilter::Eq(d) => self.inner.index_eq(&index, std::slice::from_ref(d))?,
+            let (from, to) = match filter {
+                ColumnFilter::Eq(d) => (d.clone(), d.clone()),
                 ColumnFilter::Range { lo, hi } => {
-                    let from = bound_or_extreme(lo, dtype, true);
-                    let to = bound_or_extreme(hi, dtype, false);
-                    self.inner.index_range(&index, &[from], &[to])?
+                    (bound_or_extreme(lo, dtype, true), bound_or_extreme(hi, dtype, false))
                 }
             };
-            // Apply the remaining filters exactly.
-            return Ok(rows
-                .into_iter()
-                .filter(|r| req.filters.iter().all(|(c, f)| f.matches(r.get(*c))))
-                .collect());
+            let mut rids = self.inner.index_rids(&index, &[from], &[to])?;
+            rids.sort_unstable();
+            let mut out = Vec::with_capacity(rids.len());
+            for rid in rids {
+                let row = self.inner.get(rid)?;
+                // Apply the remaining filters exactly.
+                if req.filters.iter().all(|(c, f)| f.matches(row.get(*c))) {
+                    out.push(row);
+                }
+            }
+            return Ok(out);
         }
         let mut out = Vec::new();
         for r in self.inner.scan() {
@@ -282,6 +290,77 @@ mod tests {
         };
         let rows = t.scan(&req).unwrap();
         assert_eq!(rows.len(), 1); // only t=2000
+    }
+
+    #[test]
+    fn index_scans_return_rows_in_insertion_order() {
+        let t = table();
+        let heap = |f: ColumnFilter, col: usize| {
+            let all = t.scan(&ScanRequest::default()).unwrap();
+            all.into_iter().filter(|r| f.matches(r.get(col))).collect::<Vec<_>>()
+        };
+        let eq = ColumnFilter::Eq(Datum::I64(7));
+        let req = ScanRequest { filters: vec![(1, eq.clone())], ..Default::default() };
+        assert_eq!(t.scan(&req).unwrap(), heap(eq, 1));
+        let range =
+            ColumnFilter::Range { lo: None, hi: Some((Datum::Ts(Timestamp(50_000)), true)) };
+        let req = ScanRequest { filters: vec![(0, range.clone())], ..Default::default() };
+        assert_eq!(t.scan(&req).unwrap(), heap(range, 0));
+    }
+
+    /// Quotes with two rows at each of (2, 5) and (1, 8): the later-inserted
+    /// one is the ASOF match, as in a full heap scan.
+    fn quotes(name: &str, indexed: bool) -> Arc<RelTable> {
+        let pool = BufferPool::new(Arc::new(MemDisk::new()), 512);
+        let schema = RelSchema::new(
+            name,
+            [("q_id", DataType::I64), ("q_ts", DataType::Ts), ("q_px", DataType::F64)],
+        );
+        let t = RelTable::create(pool, ResourceMeter::unmetered(), schema, RdbProfile::RDB);
+        if indexed {
+            t.create_index(&format!("{name}_id"), "q_id").unwrap();
+            t.create_index(&format!("{name}_ts"), "q_ts").unwrap();
+        }
+        let mut rows: Vec<(i64, i64, f64)> = Vec::new();
+        for id in 1..=3 {
+            rows.extend((0..10).map(|ts| (id, ts, (id * 100 + ts) as f64)));
+        }
+        rows.extend([(2, 5, -1.0), (1, 8, -3.0), (2, 5, -2.0), (1, 8, -4.0)]);
+        for (id, ts, px) in rows {
+            let row = vec![Datum::I64(id), Datum::Ts(Timestamp(ts)), Datum::F64(px)];
+            t.insert(&Row::new(row)).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn asof_ties_on_an_indexed_right_side_match_a_heap_scan() {
+        let e = odh_sql::SqlEngine::new();
+        e.register(quotes("q_idx", true));
+        e.register(quotes("q_heap", false));
+        let trades = odh_sql::provider::MemTable::new(RelSchema::new(
+            "trades",
+            [("tr_id", DataType::I64), ("tr_ts", DataType::Ts)],
+        ));
+        for (id, ts) in [(2, 5), (2, 7), (1, 8)] {
+            trades.insert(Row::new(vec![Datum::I64(id), Datum::Ts(Timestamp(ts))]));
+        }
+        e.register(trades);
+        let px = |right: &str, filter: &str| -> Vec<Datum> {
+            let sql = format!(
+                "select q.q_px from trades t asof join {right} q \
+                 on q.q_id = t.tr_id and q.q_ts <= t.tr_ts {filter}"
+            );
+            e.query(&sql).unwrap().rows.iter().map(|r| r.get(0).clone()).collect()
+        };
+        // One left key: the right scan is `q_id = 2`, an index lookup.
+        let one = px("q_idx", "where t.tr_id = 2");
+        assert_eq!(one, vec![Datum::F64(-2.0), Datum::F64(207.0)]);
+        assert_eq!(one, px("q_heap", "where t.tr_id = 2"));
+        // Two keys: the right scan is `q_ts <= 9`, an index range.
+        let two = px("q_idx", "");
+        assert_eq!(two, vec![Datum::F64(-2.0), Datum::F64(207.0), Datum::F64(-4.0)]);
+        assert_eq!(two, px("q_heap", ""));
     }
 
     #[test]

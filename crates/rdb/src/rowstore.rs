@@ -119,6 +119,12 @@ impl RowTable {
     /// Index range lookup: rows whose key on `index` lies in
     /// `[from, to]` (datum tuples; a shorter `from`/`to` is a prefix bound).
     pub fn index_range(&self, index: &str, from: &[Datum], to: &[Datum]) -> Result<Vec<Row>> {
+        self.index_rids(index, from, to)?.into_iter().map(|rid| self.get(rid)).collect()
+    }
+
+    /// Record ids of [`RowTable::index_range`]'s rows, in key order; equal
+    /// keys are not in insertion order.
+    pub fn index_rids(&self, index: &str, from: &[Datum], to: &[Datum]) -> Result<Vec<RecordId>> {
         let g = self.indexes.read();
         let idx = g
             .iter()
@@ -139,12 +145,10 @@ impl RowTable {
         self.meter.cpu(
             self.meter.costs.btree_node_visit * idx.tree.height() as f64 * self.profile.cpu_factor,
         );
-        let mut rows = Vec::new();
-        for entry in idx.tree.range(Some(&lo), Some(&hi), false)? {
-            let (_, rid) = entry?;
-            rows.push(self.get(RecordId::from_u64(rid))?);
-        }
-        Ok(rows)
+        idx.tree
+            .range(Some(&lo), Some(&hi), false)?
+            .map(|entry| Ok(RecordId::from_u64(entry?.1)))
+            .collect()
     }
 
     /// Equality lookup on the named index.

@@ -21,7 +21,9 @@
 //! prefixes (cartesian products) are allowed but pay the multiplied
 //! cardinality, so they lose to any connected order.
 
-use crate::planner::{ColRef, Plan};
+use crate::exec::asof_right_request;
+use crate::planner::{AsofSpec, ColRef, Plan};
+use crate::provider::{ColumnFilter, ScanRequest};
 
 /// Pick the cheapest join order and annotate the plan with its cost.
 pub fn optimize(mut plan: Plan) -> Plan {
@@ -32,9 +34,10 @@ pub fn optimize(mut plan: Plan) -> Plan {
     }
     // ASOF JOIN fixes the roles: binding 0 is the probe side, binding 1
     // the build side — no order enumeration.
-    if plan.asof.is_some() {
+    if let Some(spec) = plan.asof {
         plan.join_order = vec![0, 1];
-        plan.estimated_cost = scan_cost(&plan, 0) + scan_cost(&plan, 1);
+        let right = asof_planned_request(&plan, spec);
+        plan.estimated_cost = scan_cost(&plan, 0) + plan.bindings[1].provider.estimate_cost(&right);
         return plan;
     }
     let mut best: Option<(f64, Vec<usize>)> = None;
@@ -61,6 +64,28 @@ fn permute(items: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
         permute(items, k + 1, visit);
         items.swap(k, i);
     }
+}
+
+/// The ASOF right-side scan as far as the plan knows it: the executor
+/// derives its filters from the left rows, and the left side's pushdown
+/// pins the partition key (`eq = k`) and the latest left timestamp
+/// (`ts <= hi`) wherever it filters them.
+fn asof_planned_request(plan: &Plan, spec: AsofSpec) -> ScanRequest {
+    let left = |col: ColRef| plan.pushdown[0].iter().filter(move |(c, _)| *c == col.column);
+    let key = spec.eq.and_then(|(l, _)| {
+        left(l).find_map(|(_, f)| match f {
+            ColumnFilter::Eq(k) if k.sql_eq(k) => Some(k.clone()),
+            _ => None,
+        })
+    });
+    let max_ts = left(spec.left_ts)
+        .filter_map(|(_, f)| match f {
+            ColumnFilter::Eq(d) | ColumnFilter::Range { hi: Some((d, _)), .. } => d.as_ts(),
+            _ => None,
+        })
+        .map(|t| t.micros())
+        .min();
+    asof_right_request(plan, spec, key, max_ts)
 }
 
 fn scan_cost(plan: &Plan, binding: usize) -> f64 {
@@ -197,6 +222,31 @@ mod tests {
         let p = optimize(plan(&c, &parse("select * from dim").unwrap()).unwrap());
         assert!(p.estimated_cost > 0.0);
         assert_eq!(p.join_order, vec![0]);
+    }
+
+    #[test]
+    fn asof_right_side_is_priced_with_what_the_left_pushdown_pins() {
+        let c = Catalog::new();
+        c.register(MemTable::new(RelSchema::new(
+            "q",
+            [("k", DataType::I64), ("ts", DataType::Ts)],
+        )));
+        let right = |filter: &str| {
+            let sql =
+                format!("select a.k from q a asof join q b on a.k = b.k and a.ts >= b.ts{filter}");
+            let p = plan(&c, &parse(&sql).unwrap()).unwrap();
+            asof_planned_request(&p, p.asof.unwrap()).filters
+        };
+        let hi = |t: i64| ColumnFilter::Range {
+            lo: None,
+            hi: Some((Datum::Ts(odh_types::Timestamp(t)), true)),
+        };
+        assert_eq!(
+            right(" where a.k = 5 and a.ts between 10 and 90"),
+            vec![(0, ColumnFilter::Eq(Datum::I64(5))), (1, hi(90))]
+        );
+        assert_eq!(right(" where a.ts < 40"), vec![(1, hi(40))]);
+        assert_eq!(right(""), vec![]);
     }
 
     #[test]
