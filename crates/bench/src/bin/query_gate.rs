@@ -170,6 +170,16 @@ fn main() {
     for op in ["vec_downsample", "vec_last_point", "vec_gap_fill", "vec_asof_join"] {
         check(find(&current, op).is_some(), &format!("{op} template point present"));
     }
+    // VQ2, LAST per source, reads each source newest-first and stops
+    // once its newest batch settles it: one batch per source at most,
+    // not every batch of the table.
+    if let Some(p) = find(&current, "vec_last_point") {
+        let touched = p.cache_hits + p.cache_misses;
+        check(
+            touched <= p.sources,
+            &format!("last-point query touches <= {} batches (got {touched})", p.sources),
+        );
+    }
     // VQ4's left side is one source's window, so its right scan reads
     // that source only, up to the window's end. Each side fetches its
     // batches separately and touches at most the source's batches, so

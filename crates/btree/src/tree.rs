@@ -509,8 +509,9 @@ impl Iterator for RangeIter {
                 }
                 continue;
             }
-            let (k, v) = &self.buffer[self.idx];
+            let at = self.idx;
             self.idx += 1;
+            let k = &self.buffer[at].0;
             if let Some(s) = &self.start {
                 if k.as_slice() < s.as_slice() {
                     continue;
@@ -520,7 +521,9 @@ impl Iterator for RangeIter {
                 self.done = true;
                 return None;
             }
-            return Some(Ok((k.clone(), *v)));
+            // Each buffered entry is yielded at most once: move it out.
+            let (k, v) = &mut self.buffer[at];
+            return Some(Ok((std::mem::take(k), *v)));
         }
     }
 }

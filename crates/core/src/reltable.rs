@@ -234,7 +234,7 @@ mod tests {
         let req = ScanRequest {
             filters: vec![(1, ColumnFilter::Eq(Datum::I64(7)))],
             needed: vec![0, 1, 2],
-            summaries: None,
+            ..Default::default()
         };
         let rows = t.scan(&req).unwrap();
         assert_eq!(rows.len(), 10);
@@ -249,7 +249,7 @@ mod tests {
                 ColumnFilter::Range { lo: Some((Datum::Ts(Timestamp(190_000)), true)), hi: None },
             )],
             needed: vec![0],
-            summaries: None,
+            ..Default::default()
         };
         let rows = t.scan(&req).unwrap();
         assert_eq!(rows.len(), 10); // 190..200
@@ -261,7 +261,7 @@ mod tests {
         let req = ScanRequest {
             filters: vec![(2, ColumnFilter::Eq(Datum::F64(5.0)))],
             needed: vec![2],
-            summaries: None,
+            ..Default::default()
         };
         let rows = t.scan(&req).unwrap();
         assert_eq!(rows.len(), 1);
@@ -269,7 +269,7 @@ mod tests {
         let idx_req = ScanRequest {
             filters: vec![(1, ColumnFilter::Eq(Datum::I64(7)))],
             needed: vec![1],
-            summaries: None,
+            ..Default::default()
         };
         assert!(t.estimate_cost(&req) > t.estimate_cost(&idx_req));
     }
@@ -286,7 +286,7 @@ mod tests {
                 },
             )],
             needed: vec![0],
-            summaries: None,
+            ..Default::default()
         };
         let rows = t.scan(&req).unwrap();
         assert_eq!(rows.len(), 1); // only t=2000

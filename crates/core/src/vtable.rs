@@ -18,7 +18,7 @@ use crate::router::DataRouter;
 use odh_sql::column::{ColVec, ColumnBatch, NumAgg};
 use odh_sql::provider::{ColumnFilter, ColumnarScan, ScanRequest, SummaryGrain, TableProvider};
 use odh_storage::{ColumnarChunk, OdhTable, ScanPoint, TimeGrain};
-use odh_types::{Datum, RelSchema, Result, Row, SourceId, Timestamp};
+use odh_types::{DataType, Datum, RelSchema, Result, Row, SourceId, Timestamp};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
@@ -160,12 +160,16 @@ impl VirtualTable {
     /// Convert one storage chunk into a SQL column batch: id and
     /// timestamp materialize as integer vectors, tag columns stay
     /// zero-copy windows into the decode cache. A batch summary becomes a
-    /// summary batch over its requested tags.
-    fn chunk_to_batch(&self, chunk: ColumnarChunk, tags: &[usize]) -> ColumnBatch {
-        let len = chunk.ts.len();
-        let arity = self.rel_schema.arity();
-        let dtypes = self.rel_schema.columns.iter().map(|c| c.dtype).collect();
-        let mut cols = vec![ColVec::Absent; arity];
+    /// summary batch over its requested tags. `dtypes` is the schema's,
+    /// shared by every batch of the scan.
+    fn chunk_to_batch(
+        &self,
+        chunk: ColumnarChunk,
+        tags: &[usize],
+        dtypes: &Arc<[DataType]>,
+    ) -> ColumnBatch {
+        let ts_range = chunk.ts_range();
+        let mut cols = vec![ColVec::Absent; dtypes.len()];
         cols[0] = match (chunk.source, chunk.ids) {
             (Some(sid), _) => ColVec::ConstI64(sid.0 as i64),
             (None, Some(ids)) => {
@@ -173,29 +177,31 @@ impl VirtualTable {
             }
             (None, None) => ColVec::Absent,
         };
+        let dtypes = dtypes.clone();
         if let Some(sum) = chunk.summary {
             for (s, &tag) in sum.tags.iter().zip(tags) {
                 let (count, sum, min, max) = (s.count as i64, s.sum, s.min, s.max);
                 cols[2 + tag] = ColVec::Summary(NumAgg { count, sum, min, max });
             }
             let len = sum.rows as usize;
-            return ColumnBatch {
-                len,
-                dtypes,
-                cols,
-                ts_range: Some(sum.time_range),
-                summary: true,
-            };
+            return ColumnBatch { len, dtypes, cols, ts_range, summary: true };
         }
-        let ts_range = match (chunk.ts.iter().min(), chunk.ts.iter().max()) {
-            (Some(&lo), Some(&hi)) => Some((lo, hi)),
-            _ => None,
-        };
+        let len = chunk.ts.len();
         cols[1] = ColVec::I64 { data: chunk.ts, validity: None };
         for (i, &tag) in tags.iter().enumerate() {
             cols[2 + tag] = ColVec::Shared { data: chunk.cols[i].clone(), start: chunk.start };
         }
         ColumnBatch { len, dtypes, cols, ts_range, summary: false }
+    }
+
+    /// The batches of one columnar read, in chunk order.
+    fn to_batches(
+        &self,
+        chunks: impl IntoIterator<Item = ColumnarChunk>,
+        tags: &[usize],
+    ) -> Vec<ColumnBatch> {
+        let dtypes: Arc<[DataType]> = self.rel_schema.columns.iter().map(|c| c.dtype).collect();
+        chunks.into_iter().map(|c| self.chunk_to_batch(c, tags, &dtypes)).collect()
     }
 
     fn id_eq(filters: &[(usize, ColumnFilter)]) -> Option<SourceId> {
@@ -352,12 +358,22 @@ impl TableProvider for VirtualTable {
         let ranges = self.tag_ranges(&req.filters);
         // Storage summarizes batches inside `[t1, t2]`, so only bounds
         // that honor every filter exactly allow it, and only timestamp
-        // buckets map onto its time grain.
+        // buckets map onto its time grain. The same goes for a LAST read:
+        // the rows it leaves out are judged by what it returns, so every
+        // returned row must pass the filters.
         let grain = req.summaries.filter(|_| exact).and_then(|g| match g {
             SummaryGrain::Whole => Some(TimeGrain::Whole),
             SummaryGrain::Bucket { column: 1, width } => Some(TimeGrain::Bucket(width)),
             SummaryGrain::Bucket { .. } => None,
         });
+        let latest = req.latest && exact;
+        let read = |t: &OdhTable, only: Option<&HashSet<SourceId>>| {
+            if latest {
+                t.scan_columnar_last(t1, t2, &tags, only)
+            } else {
+                t.scan_columnar(t1, t2, &tags, only, &ranges, grain)
+            }
+        };
         Some((|| {
             let meter = self.cluster.meter();
             if let Some(source) = Self::id_eq(&req.filters) {
@@ -371,9 +387,7 @@ impl TableProvider for VirtualTable {
                 };
                 let table = self.cluster.servers()[server_idx].table(&self.schema_type)?;
                 let only: HashSet<SourceId> = [source].into_iter().collect();
-                let chunks = table.scan_columnar(t1, t2, &tags, Some(&only), &ranges, grain)?;
-                let batches: Vec<ColumnBatch> =
-                    chunks.into_iter().map(|c| self.chunk_to_batch(c, &tags)).collect();
+                let batches = self.to_batches(read(&table, Some(&only))?, &tags);
                 meter.cpu(meter.costs.vti_cell_assemble * batches.len() as f64);
                 return Ok(ColumnarScan { batches });
             }
@@ -392,25 +406,17 @@ impl TableProvider for VirtualTable {
                 }
                 meter.note_parallel(tables.len());
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = tables
-                        .iter()
-                        .map(|t| {
-                            scope.spawn(|| t.scan_columnar(t1, t2, &tags, None, &ranges, grain))
-                        })
-                        .collect();
+                    let handles: Vec<_> =
+                        tables.iter().map(|t| scope.spawn(|| read(t, None))).collect();
                     handles
                         .into_iter()
                         .map(|h| h.join().expect("scan worker panicked"))
                         .collect::<Result<Vec<_>>>()
                 })?
             } else {
-                tables
-                    .iter()
-                    .map(|t| t.scan_columnar(t1, t2, &tags, None, &ranges, grain))
-                    .collect::<Result<_>>()?
+                tables.iter().map(|t| read(t, None)).collect::<Result<_>>()?
             };
-            let batches: Vec<ColumnBatch> =
-                per_server.into_iter().flatten().map(|c| self.chunk_to_batch(c, &tags)).collect();
+            let batches = self.to_batches(per_server.into_iter().flatten(), &tags);
             // Columnar batches skip the per-cell VTI row assembly the
             // paper measures at >80% of query time — that is the point.
             // One batch-level touch stands in for the handoff.
@@ -535,7 +541,7 @@ mod tests {
         let req = ScanRequest {
             filters: vec![(0, ColumnFilter::Eq(Datum::I64(3)))],
             needed: vec![0, 1, 2],
-            summaries: None,
+            ..Default::default()
         };
         let rows = v.scan(&req).unwrap();
         assert_eq!(rows.len(), 40);
@@ -557,7 +563,7 @@ mod tests {
                 },
             )],
             needed: vec![0, 1, 2, 3],
-            summaries: None,
+            ..Default::default()
         };
         let rows = v.scan(&req).unwrap();
         // Samples land at i·100ms + id µs: i in 10..=19 for every source
@@ -571,7 +577,7 @@ mod tests {
     #[test]
     fn fanout_is_concurrent_and_ordered() {
         let (c, v) = setup();
-        let req = ScanRequest { filters: vec![], needed: vec![0, 1, 2, 3], summaries: None };
+        let req = ScanRequest { filters: vec![], needed: vec![0, 1, 2, 3], ..Default::default() };
         let rows = v.scan(&req).unwrap();
         assert_eq!(rows.len(), 320);
         // Globally ordered by (timestamp, id) — exactly what a serial
@@ -622,8 +628,10 @@ mod tests {
         let all = v.estimate_rows(&[]);
         let one = v.estimate_rows(&[(0, ColumnFilter::Eq(Datum::I64(3)))]);
         assert!(one < all);
-        let req_all = ScanRequest { filters: vec![], needed: vec![0, 1, 2, 3], summaries: None };
-        let req_one_tag = ScanRequest { filters: vec![], needed: vec![0, 1, 2], summaries: None };
+        let req_all =
+            ScanRequest { filters: vec![], needed: vec![0, 1, 2, 3], ..Default::default() };
+        let req_one_tag =
+            ScanRequest { filters: vec![], needed: vec![0, 1, 2], ..Default::default() };
         assert!(v.estimate_cost(&req_one_tag) < v.estimate_cost(&req_all));
     }
 
@@ -687,8 +695,11 @@ mod tests {
             (SummaryGrain::Whole, i64::MAX),
             (SummaryGrain::Bucket { column: 1, width: 1_000_000 }, 1_000_000),
         ] {
-            let req =
-                ScanRequest { filters: filters.clone(), needed: vec![1, 2, 3], summaries: None };
+            let req = ScanRequest {
+                filters: filters.clone(),
+                needed: vec![1, 2, 3],
+                ..Default::default()
+            };
             let (want, none) = fold_batches(&v, &req, 3, width);
             assert_eq!(none, 0, "no summaries unless requested");
             let req = ScanRequest { summaries: Some(grain), ..req };
@@ -702,7 +713,12 @@ mod tests {
     fn summaries_only_where_filters_are_exact() {
         let (_, v) = setup();
         let summarized = |filters: Vec<(usize, ColumnFilter)>, grain: SummaryGrain| {
-            let req = ScanRequest { filters, needed: vec![0, 1, 2], summaries: Some(grain) };
+            let req = ScanRequest {
+                filters,
+                needed: vec![0, 1, 2],
+                summaries: Some(grain),
+                ..Default::default()
+            };
             fold_batches(&v, &req, 2, i64::MAX).1
         };
         assert!(summarized(vec![], SummaryGrain::Whole) > 0);
@@ -721,6 +737,7 @@ mod tests {
             filters: vec![(0, ColumnFilter::Eq(Datum::I64(999)))],
             needed: vec![0, 1, 2],
             summaries: Some(SummaryGrain::Whole),
+            ..Default::default()
         };
         assert!(v.scan_columnar(&req).unwrap().unwrap().batches.is_empty());
     }
@@ -737,7 +754,7 @@ mod tests {
                 },
             )],
             needed: vec![0, 1, 2, 3],
-            summaries: None,
+            ..Default::default()
         };
         let rows = v.scan(&req).unwrap();
         let scan = v.scan_columnar(&req).unwrap().unwrap();

@@ -179,8 +179,9 @@ impl ColVec {
 #[derive(Clone)]
 pub struct ColumnBatch {
     pub len: usize,
-    /// Declared type of each column (drives the `Datum` pivot).
-    pub dtypes: Vec<DataType>,
+    /// Declared type of each column (drives the `Datum` pivot), shared
+    /// by every batch of a scan.
+    pub dtypes: Arc<[DataType]>,
     pub cols: Vec<ColVec>,
     /// `(min, max)` row timestamp when the producer knows it (sealed
     /// batches do) — lets LAST scan batches newest-first and stop early.
@@ -197,7 +198,7 @@ pub struct ColumnBatch {
 impl ColumnBatch {
     /// Pivot one row back to datums (final result boundary only).
     pub fn row_datums(&self, i: usize) -> Vec<Datum> {
-        self.cols.iter().zip(&self.dtypes).map(|(c, &dt)| c.datum(i, dt)).collect()
+        self.cols.iter().zip(self.dtypes.iter()).map(|(c, &dt)| c.datum(i, dt)).collect()
     }
 
     /// Real bytes across materialized columns.

@@ -109,6 +109,13 @@ pub struct ScanRequest {
     /// predicate is implied by the filters and every aggregate is
     /// `COUNT(*)` or `COUNT/SUM/AVG/MIN/MAX` over an F64 column.
     pub summaries: Option<SummaryGrain>,
+    /// `true` when the executor's only aggregates are LAST — global or
+    /// grouped by the leading id column — and the filters imply every
+    /// residual. A columnar provider may then leave out any row that, in
+    /// every needed column where it holds a value, is outdone by a
+    /// returned row with the same id and a strictly later timestamp:
+    /// such a row can be no LAST. Providers may ignore the mark.
+    pub latest: bool,
 }
 
 impl ScanRequest {
@@ -290,7 +297,7 @@ impl TableProvider for MemTable {
         let keep: Vec<usize> = (0..rows.len())
             .filter(|&i| req.filters.iter().all(|(c, f)| f.matches(rows[i].get(*c))))
             .collect();
-        let dtypes: Vec<DataType> = self.schema.columns.iter().map(|c| c.dtype).collect();
+        let dtypes: Arc<[DataType]> = self.schema.columns.iter().map(|c| c.dtype).collect();
         let mut batches = Vec::with_capacity(keep.len().div_ceil(BATCH_SIZE).max(1));
         for chunk in keep.chunks(BATCH_SIZE.max(1)) {
             let len = chunk.len();
@@ -432,7 +439,7 @@ mod tests {
         let req = ScanRequest {
             filters: vec![(1, ColumnFilter::Eq(Datum::str("S1")))],
             needed: vec![0, 1],
-            summaries: None,
+            ..Default::default()
         };
         let rows = t.scan(&req).unwrap();
         assert_eq!(rows.len(), 25);

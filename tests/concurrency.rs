@@ -188,8 +188,9 @@ fn parallel_scan_order_matches_serial_merge() {
         router.note_source("t", SourceId(id));
     }
     let v = VirtualTable::new(c.clone(), router, "t", "t_v").unwrap();
-    let rows =
-        v.scan(&ScanRequest { filters: vec![], needed: vec![0, 1, 2], summaries: None }).unwrap();
+    let rows = v
+        .scan(&ScanRequest { filters: vec![], needed: vec![0, 1, 2], ..Default::default() })
+        .unwrap();
     let keys: Vec<(i64, i64)> = rows
         .iter()
         .map(|r| (r.get(1).as_ts().unwrap().micros(), r.get(0).as_i64().unwrap()))

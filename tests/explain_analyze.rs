@@ -54,8 +54,8 @@ const QUERIES: [&str; 9] = [
     // covered by whole batches, answered from summaries without decode.
     "select time_bucket(16000000, timestamp), COUNT(*), AVG(speed) from vehicle_data_v \
      group by time_bucket(16000000, timestamp)",
-    // Last-point per vehicle: the vectorized path with newest-first
-    // batch order and early exit.
+    // Last-point per vehicle: storage reads each vehicle newest-first
+    // and stops at its newest batch, which settles its LAST.
     "select id, LAST(speed) from vehicle_data_v group by id",
     // Gap-filled downsample of one vehicle (dense fixture: no holes,
     // but the operator pipeline is exercised end to end).
