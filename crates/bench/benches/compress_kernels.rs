@@ -2,8 +2,8 @@
 //! against the frozen byte-at-a-time reference implementations. The
 //! kernel arms reuse caller buffers (the `*_into` entry points) exactly
 //! as the seal/decode paths do; the reference arms allocate per call,
-//! exactly as the pre-kernel code did. `compress_bench`/`compress_gate`
-//! carry the machine-readable version of this comparison.
+//! exactly as the pre-kernel code did. `gate compress` carries the
+//! machine-readable version of this comparison.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use odh_compress::linear::Spike;

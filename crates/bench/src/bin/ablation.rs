@@ -153,6 +153,6 @@ fn main() {
         report.policy.push((name.to_string(), kb, base as f64 / kb.max(1) as f64));
     }
 
-    let path = odh_bench::save_json("ablation", &report);
-    println!("\nsaved: {}", path.display());
+    println!();
+    odh_bench::save_or_exit("ablation", &report);
 }

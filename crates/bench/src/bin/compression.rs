@@ -125,6 +125,6 @@ fn main() {
     assert_eq!(c1, Codec::Linear);
     assert_eq!(c2, Codec::Quantize);
 
-    let path = odh_bench::save_json("compression_ld1", &report);
-    println!("\nsaved: {}", path.display());
+    println!();
+    odh_bench::save_or_exit("compression_ld1", &report);
 }

@@ -24,12 +24,6 @@ use odh_types::{SourceClass, SourceId};
 use std::sync::Arc;
 
 fn main() {
-    // `--threads 1,2,4,8`: run the parallel-ingest scaling sweep on the
-    // TD(1,1) slice instead of the figure grid; emits BENCH_ingest.json.
-    if let Some(counts) = odh_bench::parse_threads_arg() {
-        odh_bench::run_ingest_bench_cli(&counts).expect("ingest bench");
-        return;
-    }
     odh_bench::banner("Figure 5: TD insert throughput and CPU rate", "§5.3, Fig. 5(a,b)");
     let secs: i64 = std::env::var("TD_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
     let wall: f64 =
@@ -83,8 +77,7 @@ fn main() {
         eprintln!("  TD({i},{j}) done");
     }
     println!("{}", format_reports(&reports));
-    let path = odh_bench::save_json("fig5_td_insert", &reports);
-    println!("saved: {}", path.display());
+    odh_bench::save_or_exit("fig5_td_insert", &reports);
 
     // Shape summary: ODH capacity vs the best row store, per cell.
     println!("\nshape: ODH capacity / best-baseline capacity per cell");

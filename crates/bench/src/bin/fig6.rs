@@ -19,12 +19,6 @@ use odh_rdb::RdbProfile;
 use odh_sim::ResourceMeter;
 
 fn main() {
-    // `--threads 1,2,4,8`: run the parallel-ingest scaling sweep instead
-    // of the figure; emits BENCH_ingest.json.
-    if let Some(counts) = odh_bench::parse_threads_arg() {
-        odh_bench::run_ingest_bench_cli(&counts).expect("ingest bench");
-        return;
-    }
     odh_bench::banner("Figure 6: LD insert throughput and CPU rate", "§5.3, Fig. 6(a,b)");
     let scale = iotx::env_scale(100);
     let secs: i64 = std::env::var("LD_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(30);
@@ -63,8 +57,7 @@ fn main() {
         eprintln!("  LD({i}) done");
     }
     println!("{}", format_reports(&reports));
-    let path = odh_bench::save_json("fig6_ld_insert", &reports);
-    println!("saved: {}", path.display());
+    odh_bench::save_or_exit("fig6_ld_insert", &reports);
 
     println!("\nshape: ODH capacity / RDB capacity per step (expect a modest gap —");
     println!("wide 86-byte rows are the row store's best case, §5.3)");

@@ -58,8 +58,8 @@ fn main() {
         reports.push(odh_r);
         reports.push(rdb_r);
     }
-    let path = odh_bench::save_json("fig7_tags", &reports);
-    println!("\nsaved: {}", path.display());
+    println!();
+    odh_bench::save_or_exit("fig7_tags", &reports);
     println!("shape: RDB's dp/s should grow with tag count (per-record cost amortized");
     println!("over more points) while ODH stays high even at 1 tag.");
 }

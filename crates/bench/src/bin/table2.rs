@@ -37,8 +37,8 @@ fn main() {
         );
         reports.push(r);
     }
-    let path = odh_bench::save_json("table2_wams", &reports);
-    println!("\nsaved: {}", path.display());
+    println!();
+    odh_bench::save_or_exit("table2_wams", &reports);
     println!("shape check: CPU load ≈ linear in points/s at fixed cores (settings 1→2),");
     println!("and inversely proportional to cores (setting 3 runs on 8 of 32).");
 }

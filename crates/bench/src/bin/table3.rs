@@ -13,12 +13,6 @@
 use iotx::cases::vehicles;
 
 fn main() {
-    // `--threads 1,2,4,8`: run the parallel-ingest scaling sweep instead
-    // of the load test; emits BENCH_ingest.json.
-    if let Some(counts) = odh_bench::parse_threads_arg() {
-        odh_bench::run_ingest_bench_cli(&counts).expect("ingest bench");
-        return;
-    }
     odh_bench::banner("Table 3: connected-vehicles load test", "§4.3, Table 3");
     let scale = iotx::env_scale(100);
     let secs: i64 = std::env::var("VEHICLE_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(120);
@@ -46,8 +40,8 @@ fn main() {
         );
         reports.push(r);
     }
-    let path = odh_bench::save_json("table3_vehicles", &reports);
-    println!("\nsaved: {}", path.display());
+    println!();
+    odh_bench::save_or_exit("table3_vehicles", &reports);
     println!("shape check: throughput grows sublinearly with vehicles/threads while CPU");
     println!("load grows superlinearly (contention), as in the paper's three rows.");
 }

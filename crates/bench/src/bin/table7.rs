@@ -165,7 +165,6 @@ fn main() {
         );
     }
     println!("\npaper Table 7 ratios: RDB/ODH ≈ 3.3–3.6x on TD, ~1.8x on LD; MySQL/RDB ≈ 1.03x");
-    let path = odh_bench::save_json("table7_storage", &rows);
-    println!("saved: {}", path.display());
+    odh_bench::save_or_exit("table7_storage", &rows);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -83,8 +83,7 @@ fn main() {
     }
 
     println!("{}", format_reports(&reports));
-    let path = odh_bench::save_json("table8_queries", &reports);
-    println!("saved: {}", path.display());
+    odh_bench::save_or_exit("table8_queries", &reports);
 
     println!("\nshape: ODH/RDB throughput ratio per template (paper: <1 for TQ1, TQ2,");
     println!("LQ1, LQ2, LQ3 — worst for LQ1; >1 for TQ3, TQ4, LQ4)");

@@ -20,7 +20,7 @@
 //!
 //! Allocation counting needs a `#[global_allocator]` hook, which only a
 //! binary can install — so the sweep takes the counter as a function
-//! pointer and the `compress_bench`/`compress_gate` binaries supply it.
+//! pointer and the `gate` binary supplies it (`gate compress`).
 
 use odh_compress::linear::Spike;
 use odh_compress::{delta, linear, quantize, reference, xor};
@@ -390,6 +390,13 @@ pub fn seal_queue_bench() -> Result<Vec<SealQueueBenchPoint>> {
         mk("inline", 0, &mut inline_secs),
         mk("pipeline", pipeline_workers, &mut pipeline_secs),
     ])
+}
+
+/// The whole sweep behind `BENCH_compress.json`: kernels, then the seal
+/// pipeline.
+pub fn compress_bench(alloc_count: fn() -> u64) -> Result<CompressBenchReport> {
+    let kernels = compress_kernel_bench(alloc_count);
+    Ok(CompressBenchReport { kernels, seal_queue: seal_queue_bench()? })
 }
 
 /// Pretty-print the kernel points as old-vs-new speedup rows.

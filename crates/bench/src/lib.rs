@@ -19,9 +19,10 @@ use odh_sim::ResourceMeter;
 use odh_sql::SqlEngine;
 use odh_storage::TableConfig;
 use odh_types::{Result, Row, SourceClass, SourceId};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+pub mod gate;
 pub mod kernels;
 pub mod netbench;
 pub mod scalebench;
@@ -283,27 +284,6 @@ pub struct IngestBenchPoint {
     pub wal_overhead_pct: f64,
 }
 
-/// Parse a `--threads 1,2,4,8` (or `--threads=1,2,4,8`) argument.
-pub fn parse_threads_arg() -> Option<Vec<usize>> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut spec: Option<String> = None;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--threads=") {
-            spec = Some(v.to_string());
-        } else if a == "--threads" {
-            spec = Some(args.get(i + 1).cloned().unwrap_or_default());
-        }
-    }
-    let spec = spec?;
-    let counts: Vec<usize> =
-        spec.split(',').filter_map(|s| s.trim().parse().ok()).filter(|&n| n > 0).collect();
-    if counts.is_empty() {
-        Some(vec![1, 2, 4, 8])
-    } else {
-        Some(counts)
-    }
-}
-
 /// Build the fig5 ODH topology ready to ingest the TD(1,1) stream: a
 /// fresh two-server in-memory cluster with `mg_group_size = 1` so the
 /// group-based partition spreads the 1000 accounts across all workers.
@@ -485,12 +465,8 @@ pub fn parallel_ingest_bench(thread_counts: &[usize]) -> Result<Vec<IngestBenchP
     Ok(out)
 }
 
-/// `--threads` entry point shared by fig5/fig6/table3: run the ingest
-/// scaling sweep, print points/s per thread count, and persist
-/// `BENCH_ingest.json`.
-pub fn run_ingest_bench_cli(thread_counts: &[usize]) -> Result<()> {
-    banner("Parallel ingest scaling: TD(1,1) slice", "§3 writer API, sharded ingest buffers");
-    let reports = parallel_ingest_bench(thread_counts)?;
+/// Table printer for the ingest sweep.
+pub fn print_ingest_points(reports: &[IngestBenchPoint]) {
     println!(
         "{:>8} {:>12} {:>14} {:>14} {:>9} {:>11} {:>13} {:>9}",
         "threads",
@@ -502,7 +478,7 @@ pub fn run_ingest_bench_cli(thread_counts: &[usize]) -> Result<()> {
         "wal pts/s",
         "wal tax"
     );
-    for p in &reports {
+    for p in reports {
         println!(
             "{:>8} {:>12} {:>14.0} {:>14.0} {:>8.2}x {:>10.3}% {:>13.0} {:>8.1}%",
             p.threads,
@@ -523,11 +499,8 @@ pub fn run_ingest_bench_cli(thread_counts: &[usize]) -> Result<()> {
          `contention` is the shard-lock blocking rate of the real threaded run,\n\
          validating that the striped slices do not serialize. `wal pts/s` is the\n\
          same run against WAL-attached servers closed by a group-commit sync;\n\
-         `wal tax` is the throughput given up for durability (CI bounds it)."
+         `wal tax` is the throughput given up for durability (the gate bounds it)."
     );
-    let path = save_json("BENCH_ingest", &reports);
-    println!("saved: {}", path.display());
-    Ok(())
 }
 
 // ----------------------------------------------------------- query path --
@@ -711,17 +684,6 @@ pub fn query_path_bench() -> Result<Vec<QueryBenchPoint>> {
                    group by time_bucket(128000000, timestamp)";
     out.push(run("bucket_pushdown_aligned", aligned, true)?);
     Ok(out)
-}
-
-/// Print the sweep and persist `BENCH_query.json` (shared by the `query`
-/// binary; `query_gate` re-runs the sweep itself).
-pub fn run_query_bench_cli() -> Result<()> {
-    banner("Read-path sweep: summary pushdown x decode cache", "§5.3 query component, Table 8");
-    let reports = query_path_bench()?;
-    print_query_points(&reports);
-    let path = save_json("BENCH_query", &reports);
-    println!("saved: {}", path.display());
-    Ok(())
 }
 
 /// Shared table printer for the sweep and the gate.
@@ -935,44 +897,45 @@ pub fn print_compact_report(r: &CompactBenchReport) {
 
 /// Repo-level `results/` directory.
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).ok();
-    dir
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
-/// Persist a serializable report as pretty JSON; returns the path.
-pub fn save_json<T: serde::Serialize>(name: &str, value: &T) -> PathBuf {
-    let path = results_dir().join(format!("{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(value) {
-        std::fs::write(&path, json).ok();
-    }
-    path
+/// Persist a serializable report as pretty JSON under `results/`;
+/// returns the path written.
+pub fn save_json<T: serde::Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
+    save_json_in(&results_dir(), name, value)
 }
 
-/// Load a committed baseline report from `results/<name>.json` for a
-/// gate binary. A missing or unparsable baseline is an operator error,
-/// not a panic: print what to run to seed it, then exit non-zero so CI
-/// fails with an actionable message.
-pub fn load_baseline<T: serde::Deserialize>(name: &str, seed_cmd: &str) -> T {
-    let path = results_dir().join(format!("{name}.json"));
-    let json = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
+/// [`save_json`] into `dir`, creating it if needed.
+pub fn save_json_in<T: serde::Serialize>(
+    dir: &Path,
+    name: &str,
+    value: &T,
+) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{name}.json"));
+    let json = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
+    std::fs::write(&path, json)?;
+    Ok(path)
+}
+
+/// Load `dir/<name>.json` as a `T`. The error names the file.
+pub fn load_json_in<T: serde::Deserialize>(
+    dir: &Path,
+    name: &str,
+) -> std::result::Result<T, String> {
+    let path = dir.join(format!("{name}.json"));
+    let json = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    serde_json::from_str(&json).map_err(|e| format!("{} does not parse: {e}", path.display()))
+}
+
+/// A figure binary's last step: persist its report under `results/` and
+/// say where, or exit non-zero when it cannot be written.
+pub fn save_or_exit<T: serde::Serialize>(name: &str, value: &T) {
+    match save_json(name, value) {
+        Ok(path) => println!("saved: {}", path.display()),
         Err(e) => {
-            eprintln!(
-                "FAIL: no committed baseline at {} ({e}); \
-                 run `{seed_cmd}` to seed the baseline, then commit the file",
-                path.display()
-            );
-            std::process::exit(1);
-        }
-    };
-    match serde_json::from_str(&json) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!(
-                "FAIL: baseline {} does not parse ({e}); regenerate it with `{seed_cmd}`",
-                path.display()
-            );
+            eprintln!("FAIL: could not write results/{name}.json: {e}");
             std::process::exit(1);
         }
     }

@@ -1,8 +1,7 @@
 //! Wire-ingest benchmark: the paper's operational workload pushed
 //! through the network front door.
 //!
-//! Three measurements feed `results/BENCH_net.json` and the `net_gate`
-//! CI binary:
+//! Three measurements feed `results/BENCH_net.json` and `gate net`:
 //!
 //! 1. **Throughput ratio** — the same record stream is ingested twice
 //!    into identically-shaped durable historians: once with in-process

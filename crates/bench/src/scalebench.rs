@@ -6,7 +6,7 @@
 //! per-source bookkeeping — not the row data — becomes the memory wall.
 //! This harness measures what the sharded [`SourceRegistry`] and the
 //! bitmap buffer diet buy at that scale, and feeds `results/
-//! BENCH_scale.json` plus the `scale_gate` CI binary:
+//! BENCH_scale.json` plus `gate scale`:
 //!
 //! 1. **Cardinality sweep** (`SCALE_SWEEP`, default `10000,100000,
 //!    1000000`): for each size, register sources with the Table 1 class
@@ -627,7 +627,7 @@ pub fn scale_bench(live: impl Fn() -> u64 + Copy) -> Result<ScaleBenchReport> {
     })
 }
 
-/// Pretty-print a report (shared by `scale_bench` and `scale_gate`).
+/// Pretty-print a report.
 pub fn print_scale_report(r: &ScaleBenchReport) {
     println!(
         "{:>10} {:>12} {:>11} {:>11} {:>12} {:>12} {:>11}",

@@ -9,8 +9,8 @@
 //!    in [`crate::bits`] / the `*_into` codec entry points produce
 //!    byte-identical output and decode every reference-encoded stream —
 //!    so batches sealed by any prior release keep decoding unchanged.
-//! 2. **Bench baseline.** The `compress_bench` sweep runs these arms as
-//!    `old` and the optimized kernels as `new`; the CI gate holds the
+//! 2. **Bench baseline.** The `gate compress` sweep runs these arms as
+//!    `reference` and the optimized kernels as `kernel`, and holds the
 //!    ratio (see `results/BENCH_compress.json`).
 //!
 //! Nothing in the engine calls this module on a hot path. Do not

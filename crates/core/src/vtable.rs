@@ -211,6 +211,29 @@ impl VirtualTable {
         })
     }
 
+    /// Run `read` against this type's table on every server holding it,
+    /// returning the results in server order. With more than one server
+    /// the reads run concurrently on scoped threads.
+    fn fan_out<T: Send>(&self, read: impl Fn(&OdhTable) -> Result<T> + Sync) -> Result<Vec<T>> {
+        let servers = self.router.route_type(&self.schema_type)?;
+        let tables: Vec<Arc<OdhTable>> = servers
+            .iter()
+            .map(|&idx| self.cluster.servers()[idx].table(&self.schema_type))
+            .collect::<Result<_>>()?;
+        if tables.len() <= 1 {
+            return tables.iter().map(|t| read(t)).collect();
+        }
+        for t in &tables {
+            t.concurrency().note_fanout_scan();
+            t.concurrency().note_parallel_tasks(1);
+        }
+        self.cluster.meter().note_parallel(tables.len());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = tables.iter().map(|t| scope.spawn(|| read(t))).collect();
+            handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect()
+        })
+    }
+
     /// Assemble relational rows from scan points (the VTI overhead).
     fn assemble(&self, points: Vec<ScanPoint>, tags: &[usize]) -> Vec<Row> {
         let meter = self.cluster.meter();
@@ -317,38 +340,12 @@ impl TableProvider for VirtualTable {
             let points = table.historical_scan_filtered(source, t1, t2, &tags, &ranges)?;
             return Ok(self.assemble(points, &tags));
         }
-        // Fan out a slice scan to the servers holding this type. With more
-        // than one server involved, the per-server scans run concurrently
-        // on scoped threads; results are merged in (ts, id) order either
-        // way, so parallel and serial execution are order-identical.
-        let servers = self.router.route_type(&self.schema_type)?;
+        // Fan out a slice scan to the servers holding this type. Results
+        // are merged in (ts, id) order, so parallel and serial execution
+        // are order-identical.
         let ranges = self.tag_ranges(&req.filters);
-        let tables: Vec<Arc<OdhTable>> = servers
-            .iter()
-            .map(|&idx| self.cluster.servers()[idx].table(&self.schema_type))
-            .collect::<Result<_>>()?;
-        let per_server: Vec<Vec<ScanPoint>> = if tables.len() > 1 {
-            for t in &tables {
-                t.concurrency().note_fanout_scan();
-                t.concurrency().note_parallel_tasks(1);
-            }
-            self.cluster.meter().note_parallel(tables.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = tables
-                    .iter()
-                    .map(|t| scope.spawn(|| t.slice_scan_filtered(t1, t2, &tags, None, &ranges)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scan worker panicked"))
-                    .collect::<Result<Vec<_>>>()
-            })?
-        } else {
-            tables
-                .iter()
-                .map(|t| t.slice_scan_filtered(t1, t2, &tags, None, &ranges))
-                .collect::<Result<_>>()?
-        };
+        let per_server: Vec<Vec<ScanPoint>> =
+            self.fan_out(|t| t.slice_scan_filtered(t1, t2, &tags, None, &ranges))?;
         Ok(self.assemble(merge_sorted(per_server), &tags))
     }
 
@@ -391,31 +388,10 @@ impl TableProvider for VirtualTable {
                 meter.cpu(meter.costs.vti_cell_assemble * batches.len() as f64);
                 return Ok(ColumnarScan { batches });
             }
-            // Concurrent fan-out, as in `scan`. No global merge: batch
-            // order does not matter to vectorized aggregation, and LAST
-            // orders batches itself by their time range.
-            let servers = self.router.route_type(&self.schema_type)?;
-            let tables: Vec<Arc<OdhTable>> = servers
-                .iter()
-                .map(|&idx| self.cluster.servers()[idx].table(&self.schema_type))
-                .collect::<Result<_>>()?;
-            let per_server: Vec<Vec<ColumnarChunk>> = if tables.len() > 1 {
-                for t in &tables {
-                    t.concurrency().note_fanout_scan();
-                    t.concurrency().note_parallel_tasks(1);
-                }
-                meter.note_parallel(tables.len());
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> =
-                        tables.iter().map(|t| scope.spawn(|| read(t, None))).collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("scan worker panicked"))
-                        .collect::<Result<Vec<_>>>()
-                })?
-            } else {
-                tables.iter().map(|t| read(t, None)).collect::<Result<_>>()?
-            };
+            // Fan out as in `scan`, but with no global merge: batch order
+            // does not matter to vectorized aggregation, and LAST orders
+            // batches itself by their time range.
+            let per_server: Vec<Vec<ColumnarChunk>> = self.fan_out(|t| read(t, None))?;
             let batches = self.to_batches(per_server.into_iter().flatten(), &tags);
             // Columnar batches skip the per-cell VTI row assembly the
             // paper measures at >80% of query time — that is the point.
