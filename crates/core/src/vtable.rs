@@ -6,8 +6,8 @@
 //! server and becomes a **historical scan** (partition elimination); a
 //! `timestamp` range without an id becomes a **slice scan** fanned out to
 //! the servers holding this type — executed *concurrently*, one scoped
-//! thread per server, with the per-server results (each already sorted)
-//! merged back in `(timestamp, id)` order so the fan-out is
+//! thread per server, with the per-server column chunks assembled into
+//! rows sorted in `(timestamp, id)` order so the fan-out is
 //! order-indistinguishable from a serial scan. Only the *needed* tag
 //! columns are decoded from the ValueBlobs (tag-oriented projection), and
 //! every assembled cell pays the VTI row-assembly charge the paper
@@ -17,43 +17,10 @@ use crate::cluster::Cluster;
 use crate::router::DataRouter;
 use odh_sql::column::{ColVec, ColumnBatch, NumAgg};
 use odh_sql::provider::{ColumnFilter, ColumnarScan, ScanRequest, SummaryGrain, TableProvider};
-use odh_storage::{ColumnarChunk, OdhTable, ScanPoint, TimeGrain};
+use odh_storage::{ColumnarChunk, OdhTable, TimeGrain};
 use odh_types::{DataType, Datum, RelSchema, Result, Row, SourceId, Timestamp};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
-
-/// K-way merge of per-server scan results, each already sorted by
-/// `(ts, source)`, into one globally `(ts, source)`-ordered stream. This
-/// is the step that makes the concurrent fan-out return rows in exactly
-/// the order a serial server-by-server merge would.
-fn merge_sorted(mut runs: Vec<Vec<ScanPoint>>) -> Vec<ScanPoint> {
-    runs.retain(|r| !r.is_empty());
-    match runs.len() {
-        0 => return Vec::new(),
-        1 => return runs.pop().unwrap(),
-        _ => {}
-    }
-    let total = runs.len();
-    let mut iters: Vec<std::vec::IntoIter<ScanPoint>> =
-        runs.into_iter().map(|r| r.into_iter()).collect();
-    let mut heap: BinaryHeap<Reverse<(i64, SourceId, usize)>> = BinaryHeap::with_capacity(total);
-    let mut heads: Vec<Option<ScanPoint>> = Vec::with_capacity(total);
-    for (i, it) in iters.iter_mut().enumerate() {
-        let p = it.next().expect("empty runs were filtered");
-        heap.push(Reverse((p.ts.micros(), p.source, i)));
-        heads.push(Some(p));
-    }
-    let mut out = Vec::new();
-    while let Some(Reverse((_, _, i))) = heap.pop() {
-        out.push(heads[i].take().expect("head present while queued"));
-        if let Some(p) = iters[i].next() {
-            heap.push(Reverse((p.ts.micros(), p.source, i)));
-            heads[i] = Some(p);
-        }
-    }
-    out
-}
 
 /// Byte-equivalent charged per router resolution in the cost model (a
 /// metadata SQL query is roughly a page's worth of work).
@@ -234,19 +201,43 @@ impl VirtualTable {
         })
     }
 
-    /// Assemble relational rows from scan points (the VTI overhead).
-    fn assemble(&self, points: Vec<ScanPoint>, tags: &[usize]) -> Vec<Row> {
+    /// Assemble relational rows from scan chunks (the VTI overhead),
+    /// sorted by `(timestamp, id)`; rows equal on both keep read order.
+    /// A single-source scan and the per-server fan-out both list one
+    /// source's rows in one read order, so they order ties alike.
+    fn rows_from_chunks(&self, chunks: &[ColumnarChunk], tags: &[usize]) -> Vec<Row> {
+        let n: usize = chunks.iter().map(ColumnarChunk::len).sum();
         let meter = self.cluster.meter();
         let arity = self.rel_schema.arity();
-        meter.cpu(meter.costs.vti_cell_assemble * (points.len() * arity) as f64);
-        points
+        meter.cpu(meter.costs.vti_cell_assemble * (n * arity) as f64);
+        // `(ts, id, chunk, row)`: unique, and in read order among ties.
+        let mut order: Vec<(i64, u64, u32, u32)> = Vec::with_capacity(n);
+        for (c, ch) in chunks.iter().enumerate() {
+            match (ch.source, &ch.ids) {
+                (Some(sid), _) => order
+                    .extend(ch.ts.iter().enumerate().map(|(r, &t)| (t, sid.0, c as u32, r as u32))),
+                (None, Some(ids)) => order.extend(
+                    ch.ts
+                        .iter()
+                        .zip(ids)
+                        .enumerate()
+                        .map(|(r, (&t, s))| (t, s.0, c as u32, r as u32)),
+                ),
+                (None, None) => {}
+            }
+        }
+        if !order.windows(2).all(|w| w[0] <= w[1]) {
+            order.sort_unstable();
+        }
+        order
             .into_iter()
-            .map(|p| {
+            .map(|(ts, id, c, r)| {
+                let ch = &chunks[c as usize];
                 let mut cells = vec![Datum::Null; arity];
-                cells[0] = Datum::I64(p.source.0 as i64);
-                cells[1] = Datum::Ts(p.ts);
-                for (i, &tag) in tags.iter().enumerate() {
-                    cells[2 + tag] = Datum::from(p.values[i]);
+                cells[0] = Datum::I64(id as i64);
+                cells[1] = Datum::Ts(Timestamp(ts));
+                for (col, &tag) in ch.cols.iter().zip(tags) {
+                    cells[2 + tag] = Datum::from(col[ch.start + r as usize]);
                 }
                 Row::new(cells)
             })
@@ -337,16 +328,17 @@ impl TableProvider for VirtualTable {
             };
             let table = self.cluster.servers()[server_idx].table(&self.schema_type)?;
             let ranges = self.tag_ranges(&req.filters);
-            let points = table.historical_scan_filtered(source, t1, t2, &tags, &ranges)?;
-            return Ok(self.assemble(points, &tags));
+            let chunks = table.historical_columnar(source, t1, t2, &tags, &ranges)?;
+            return Ok(self.rows_from_chunks(&chunks, &tags));
         }
-        // Fan out a slice scan to the servers holding this type. Results
-        // are merged in (ts, id) order, so parallel and serial execution
-        // are order-identical.
+        // Fan out a slice scan to the servers holding this type. Rows are
+        // sorted in (ts, id) order, so parallel and serial execution are
+        // order-identical.
         let ranges = self.tag_ranges(&req.filters);
-        let per_server: Vec<Vec<ScanPoint>> =
-            self.fan_out(|t| t.slice_scan_filtered(t1, t2, &tags, None, &ranges))?;
-        Ok(self.assemble(merge_sorted(per_server), &tags))
+        let per_server: Vec<Vec<ColumnarChunk>> =
+            self.fan_out(|t| t.scan_columnar(t1, t2, &tags, None, &ranges, None))?;
+        let chunks: Vec<ColumnarChunk> = per_server.into_iter().flatten().collect();
+        Ok(self.rows_from_chunks(&chunks, &tags))
     }
 
     fn scan_columnar(&self, req: &ScanRequest) -> Option<Result<ColumnarScan>> {
@@ -451,14 +443,15 @@ impl TableProvider for VirtualTable {
             // metadata SQL.
             let server = self.cluster.server_for(&self.schema_type, source);
             let table = server.table(&self.schema_type)?;
-            let points = match table.historical_scan(source, Timestamp::MIN, Timestamp::MAX, &tags)
-            {
-                Ok(p) => p,
-                // Unregistered join key: no matches.
-                Err(e) if e.kind() == "not_found" => Vec::new(),
-                Err(e) => return Err(e),
-            };
-            Ok(self.assemble(points, &tags))
+            let chunks =
+                match table.historical_columnar(source, Timestamp::MIN, Timestamp::MAX, &tags, &[])
+                {
+                    Ok(c) => c,
+                    // Unregistered join key: no matches.
+                    Err(e) if e.kind() == "not_found" => Vec::new(),
+                    Err(e) => return Err(e),
+                };
+            Ok(self.rows_from_chunks(&chunks, &tags))
         })())
     }
 }
@@ -574,28 +567,6 @@ mod tests {
         let report = c.meter().parallel_report();
         assert!(report.regions >= 1);
         assert_eq!(report.max_width, 2);
-    }
-
-    #[test]
-    fn merge_sorted_interleaves_runs() {
-        let mk = |pairs: &[(i64, u64)]| {
-            pairs
-                .iter()
-                .map(|&(ts, id)| ScanPoint {
-                    source: SourceId(id),
-                    ts: Timestamp(ts),
-                    values: vec![],
-                })
-                .collect::<Vec<_>>()
-        };
-        let merged = merge_sorted(vec![
-            mk(&[(1, 5), (3, 0), (3, 2)]),
-            mk(&[(0, 9), (3, 1)]),
-            mk(&[]),
-            mk(&[(2, 4)]),
-        ]);
-        let keys: Vec<(i64, u64)> = merged.iter().map(|p| (p.ts.0, p.source.0)).collect();
-        assert_eq!(keys, [(0, 9), (1, 5), (2, 4), (3, 0), (3, 1), (3, 2)]);
     }
 
     #[test]

@@ -183,8 +183,10 @@ pub struct ColumnBatch {
     /// by every batch of a scan.
     pub dtypes: Arc<[DataType]>,
     pub cols: Vec<ColVec>,
-    /// `(min, max)` row timestamp when the producer knows it (sealed
-    /// batches do) — lets LAST scan batches newest-first and stop early.
+    /// `(min, max)` of the non-NULL values of the schema's first
+    /// Ts-typed column, when the producer knows it — lets LAST scan
+    /// batches newest-first and stop early, and sizes the dense
+    /// `time_bucket` fold.
     pub ts_range: Option<(i64, i64)>,
     /// A summary batch: `len` rows, all inside one bucket of the scan's
     /// [`crate::provider::SummaryGrain`] and inside the filters' exact

@@ -3,8 +3,14 @@
 //! Left-deep pipeline over the optimizer's join order: scan the first
 //! table, then for each later table either index-nested-loop (when the
 //! provider exposes an index on the join column) or hash-join (build on
-//! the new table). Residual predicates run as soon as their bindings are
-//! bound; aggregates, ORDER BY, and LIMIT finish the pipeline.
+//! the new table). Each step is compiled once against the rows it
+//! receives and the provider rows it reads: residual predicates run on
+//! the pair as soon as their bindings are bound, and only pairs that pass
+//! build a row, holding just the cells later steps read — join keys still
+//! to come, residuals not yet run, the aggregate's inputs and the output
+//! (late materialization). A projection's last step emits output rows,
+//! ORDER BY columns the output leaves out trailing; aggregates, ORDER BY
+//! and LIMIT finish the pipeline.
 //!
 //! Single-table aggregate shapes take the *vectorized* path: the provider
 //! hands back typed [`crate::column::ColumnBatch`]es, residual predicates
@@ -12,6 +18,9 @@
 //! with no per-row [`Row`] materialization. When the plan allows it
 //! ([`ScanRequest::summaries`]), a batch may arrive as its seal-time
 //! summary instead of its rows, and folds through the same kernels. A
+//! `time_bucket` fold with no other key folds each run of same-bucket
+//! rows into a dense slot indexed by bucket, sized from the batches'
+//! time ranges, unless the range holds more buckets than rows. A
 //! plan whose only aggregates are LAST marks its scan
 //! ([`ScanRequest::latest`]) so the provider may leave out rows a newer
 //! row of the same id outdoes; LAST folds batches newest-first with a
@@ -161,60 +170,59 @@ fn run(plan: &Plan, vectorized: bool, prof: &mut ExecProfile) -> Result<QueryRes
         }
     }
 
-    // Combined-row layout: bindings in FROM order; unjoined cells NULL.
-    let arity = plan.combined_arity();
-    let offset_of =
-        |b: usize| -> usize { (0..b).map(|i| plan.bindings[i].provider.schema().arity()).sum() };
+    // Each step builds its rows once, holding only what later steps read.
+    let steps = compile_steps(plan);
 
     // Scan the first table.
     let scan_started = std::time::Instant::now();
     let scanned = plan.bindings[first].provider.scan(&scan_request(plan, first))?;
-    let mut current: Vec<Row> = Vec::with_capacity(scanned.len());
-    let base = offset_of(first);
-    for r in scanned {
-        let mut cells = vec![Datum::Null; arity];
-        for (i, c) in r.into_cells().into_iter().enumerate() {
-            cells[base + i] = c;
-        }
-        current.push(Row::new(cells));
-    }
-    let mut bound = vec![first];
-    current.retain(|row| residuals_hold(plan, &bound, row));
+    let step = &steps[0];
+    let mut current: Vec<Row> = if step.keeps_whole(plan.bindings[first].provider.schema().arity())
+    {
+        scanned.into_iter().filter(|r| step.holds(&[], Some(r))).collect()
+    } else {
+        scanned
+            .iter()
+            .filter(|r| step.holds(&[], Some(r)))
+            .map(|r| step.build(&[], Some(r)))
+            .collect()
+    };
     prof.note(format!("scan {}", plan.bindings[first].provider.name()), &current, scan_started);
 
     // ASOF JOIN replaces the generic join loop: match each left row with
     // the latest right row at-or-before its timestamp (per partition).
     if let Some(spec) = plan.asof {
         let asof_started = std::time::Instant::now();
-        current = asof_join(plan, spec, current)?;
-        bound.push(1);
-        current.retain(|row| residuals_hold(plan, &bound, row));
+        current = asof_join(plan, spec, &steps[0].layout, &steps[1], current)?;
         prof.note(
             format!("asof_join {}", plan.bindings[1].provider.name()),
             &current,
             asof_started,
         );
-        return finish(plan, prof, current);
+        return finish(plan, prof, current, &steps[1].layout);
     }
 
     // Join the rest.
-    for &b in order.iter().skip(1) {
+    for (i, &b) in order.iter().enumerate().skip(1) {
         let join_started = std::time::Instant::now();
         let provider = &plan.bindings[b].provider;
-        let b_off = offset_of(b);
-        let join_col = crate::optimizer::join_column_into(plan, b, &bound);
+        let step = &steps[i];
         let mut join_op = "cartesian";
         let mut next: Vec<Row> = Vec::new();
-        match join_col {
-            Some(col) => {
-                // Column on the already-bound side this join matches.
-                let other = other_side(plan, b, col);
-                let other_off = plan.combined_offset(other);
+        let mut emit = |row: &Row, m: &Row| {
+            if step.holds(row.cells(), Some(m)) {
+                next.push(step.build(row.cells(), Some(m)));
+            }
+        };
+        match join_edge_into(plan, b, &order[..i]) {
+            Some((col, other)) => {
+                // Slot of the already-bound column this join matches.
+                let key_slot = slot_of(&steps[i - 1].layout, other);
                 let use_index = provider.probe_cost(col.column).is_some();
                 join_op = if use_index { "index_join" } else { "hash_join" };
                 if use_index {
                     for row in &current {
-                        let key = row.get(other_off);
+                        let key = row.get(key_slot);
                         if key.is_null() {
                             continue;
                         }
@@ -222,11 +230,8 @@ fn run(plan: &Plan, vectorized: bool, prof: &mut ExecProfile) -> Result<QueryRes
                             .index_lookup(col.column, key, &plan.needed[b])
                             .transpose()?
                             .unwrap_or_default();
-                        for m in matches {
-                            if !filters_hold(plan, b, &m) {
-                                continue;
-                            }
-                            next.push(splice(row, &m, b_off));
+                        for m in matches.iter().filter(|m| filters_hold(plan, b, m)) {
+                            emit(row, m);
                         }
                     }
                 } else {
@@ -239,11 +244,8 @@ fn run(plan: &Plan, vectorized: bool, prof: &mut ExecProfile) -> Result<QueryRes
                         }
                     }
                     for row in &current {
-                        let key = row.get(other_off);
-                        if let Some(matches) = table.get(key) {
-                            for m in matches {
-                                next.push(splice(row, m, b_off));
-                            }
+                        for m in table.get(row.get(key_slot)).into_iter().flatten() {
+                            emit(row, m);
                         }
                     }
                 }
@@ -253,18 +255,202 @@ fn run(plan: &Plan, vectorized: bool, prof: &mut ExecProfile) -> Result<QueryRes
                 let rows_b = provider.scan(&scan_request(plan, b))?;
                 for row in &current {
                     for m in &rows_b {
-                        next.push(splice(row, m, b_off));
+                        emit(row, m);
                     }
                 }
             }
         }
-        bound.push(b);
-        next.retain(|row| residuals_hold(plan, &bound, row));
         current = next;
         prof.note(format!("{join_op} {}", provider.name()), &current, join_started);
     }
 
-    finish(plan, prof, current)
+    finish(plan, prof, current, &steps[order.len() - 1].layout)
+}
+
+/// Where a cell of the row a step builds comes from: a slot of the row
+/// the step receives, or a column of the provider row it pairs with
+/// (NULL when an ASOF row has no match).
+#[derive(Clone, Copy, PartialEq)]
+enum Cell {
+    Left(usize),
+    Right(usize),
+}
+
+/// A residual operand compiled against one step's two sides.
+enum StepOperand {
+    Cell(Cell),
+    Lit(Datum),
+}
+
+/// One step of the row pipeline (the scan, a join, or the ASOF join),
+/// compiled against the layout of the rows it receives and the schema
+/// of the provider rows it reads: the residuals that become bound here,
+/// evaluated on the pair before anything is built, and the cells of the
+/// row it emits — only those a later step, the aggregate or the output
+/// reads.
+struct Step {
+    preds: Vec<(StepOperand, CmpOp, StepOperand)>,
+    /// Source of each cell of the emitted row, parallel to `layout`.
+    emit: Vec<Cell>,
+    /// The column each cell of the emitted row holds.
+    layout: Vec<ColRef>,
+}
+
+static NULL: Datum = Datum::Null;
+
+impl Step {
+    fn value<'a>(c: Cell, left: &'a [Datum], right: Option<&'a Row>) -> &'a Datum {
+        match c {
+            Cell::Left(i) => &left[i],
+            Cell::Right(i) => right.map_or(&NULL, |r| r.get(i)),
+        }
+    }
+
+    fn operand<'a>(o: &'a StepOperand, left: &'a [Datum], right: Option<&'a Row>) -> &'a Datum {
+        match o {
+            StepOperand::Cell(c) => Self::value(*c, left, right),
+            StepOperand::Lit(d) => d,
+        }
+    }
+
+    /// Do this step's residuals hold on the pair?
+    fn holds(&self, left: &[Datum], right: Option<&Row>) -> bool {
+        self.preds.iter().all(|(l, op, r)| {
+            let (l, r) = (Self::operand(l, left, right), Self::operand(r, left, right));
+            cmp_holds(l.sql_cmp(r), *op)
+        })
+    }
+
+    /// The row this step emits for the pair.
+    fn build(&self, left: &[Datum], right: Option<&Row>) -> Row {
+        Row::new(self.emit.iter().map(|&c| Self::value(c, left, right).clone()).collect())
+    }
+
+    /// Does the step emit every provider row unchanged (a first step that
+    /// keeps all `arity` columns in schema order)?
+    fn keeps_whole(&self, arity: usize) -> bool {
+        self.emit.len() == arity && self.emit.iter().enumerate().all(|(i, &c)| c == Cell::Right(i))
+    }
+}
+
+/// Slot of `col` in a step's row layout.
+fn slot_of(layout: &[ColRef], col: ColRef) -> usize {
+    layout.iter().position(|&c| c == col).expect("the layout holds every column read later")
+}
+
+/// The columns the pipeline's tail reads from the last step's rows. A
+/// projection's come first, in output order, followed by any further
+/// ORDER BY columns, so its last step emits output rows.
+fn tail_columns(plan: &Plan) -> Vec<ColRef> {
+    let mut cols = Vec::new();
+    if has_aggregate(plan) {
+        cols.extend(plan.bucket.map(|b| b.col));
+        cols.extend(&plan.group_by);
+        for o in &plan.output {
+            if let OutputItem::Agg { func, input, .. } = o {
+                cols.extend(input);
+                if *func == AggFunc::Last {
+                    let (ts, id) = last_key_cols(plan, input.map_or(0, |c| c.binding));
+                    cols.extend(ts.into_iter().chain(id));
+                }
+            }
+        }
+        dedup_in_order(&mut cols);
+    } else {
+        for o in &plan.output {
+            if let OutputItem::Col { col, .. } = o {
+                cols.push(*col);
+            }
+        }
+        for (c, _) in &plan.order_by {
+            if !cols.contains(c) {
+                cols.push(*c);
+            }
+        }
+    }
+    cols
+}
+
+fn dedup_in_order(cols: &mut Vec<ColRef>) {
+    let mut seen = Vec::with_capacity(cols.len());
+    cols.retain(|c| {
+        let fresh = !seen.contains(c);
+        seen.push(*c);
+        fresh
+    });
+}
+
+fn has_aggregate(plan: &Plan) -> bool {
+    plan.bucket.is_some() || plan.output.iter().any(|o| matches!(o, OutputItem::Agg { .. }))
+}
+
+fn pred_cols(p: &RPred) -> impl Iterator<Item = ColRef> + '_ {
+    [&p.left, &p.right].into_iter().filter_map(|o| match o {
+        ROperand::Col(c) => Some(*c),
+        ROperand::Lit(_) => None,
+    })
+}
+
+/// Compile the row pipeline, one [`Step`] per entry of the join order.
+/// A residual runs at the first step that binds all its columns. Step
+/// `k` emits, of the columns bound so far, those read later: residuals
+/// of later steps, the bound-side keys of later joins (the ASOF keys
+/// included), and the tail's columns; the last step emits exactly the
+/// tail's.
+fn compile_steps(plan: &Plan) -> Vec<Step> {
+    let order = &plan.join_order;
+    let at_step = |p: &RPred| -> usize {
+        pred_cols(p)
+            .map(|c| order.iter().position(|&b| b == c.binding).unwrap_or(0))
+            .max()
+            .unwrap_or(0)
+    };
+    // Columns read after step `k`, before restricting to what is bound.
+    let later = |k: usize| -> Vec<ColRef> {
+        let mut cols = tail_columns(plan);
+        if k + 1 == order.len() {
+            return cols;
+        }
+        for p in plan.residual.iter().filter(|p| at_step(p) > k) {
+            cols.extend(pred_cols(p));
+        }
+        for (j, &b) in order.iter().enumerate().skip(k + 1) {
+            cols.extend(join_edge_into(plan, b, &order[..j]).map(|(_, other)| other));
+        }
+        if let Some(spec) = plan.asof {
+            cols.push(spec.left_ts);
+            cols.extend(spec.eq.map(|(l, _)| l));
+        }
+        let bound = &order[..=k];
+        cols.retain(|c| bound.contains(&c.binding));
+        dedup_in_order(&mut cols);
+        cols
+    };
+    let mut steps: Vec<Step> = Vec::with_capacity(order.len());
+    for (k, &b) in order.iter().enumerate() {
+        let left: &[ColRef] = steps.last().map_or(&[], |s| &s.layout);
+        let cell = |c: ColRef| {
+            if c.binding == b {
+                Cell::Right(c.column)
+            } else {
+                Cell::Left(slot_of(left, c))
+            }
+        };
+        let operand = |o: &ROperand| match o {
+            ROperand::Col(c) => StepOperand::Cell(cell(*c)),
+            ROperand::Lit(d) => StepOperand::Lit(d.clone()),
+        };
+        let preds = plan
+            .residual
+            .iter()
+            .filter(|p| at_step(p) == k)
+            .map(|p| (operand(&p.left), p.op, operand(&p.right)))
+            .collect();
+        let layout = later(k);
+        let emit = layout.iter().map(|&c| cell(c)).collect();
+        steps.push(Step { preds, emit, layout });
+    }
+    steps
 }
 
 /// The scan request for binding `b`: its pushed filters and needed
@@ -278,33 +464,38 @@ pub(crate) fn scan_request(plan: &Plan, b: usize) -> ScanRequest {
     }
 }
 
-/// Shared pipeline tail: aggregate or project, then ORDER BY and LIMIT.
-fn finish(plan: &Plan, prof: &mut ExecProfile, mut current: Vec<Row>) -> Result<QueryResult> {
-    let has_agg =
-        plan.bucket.is_some() || plan.output.iter().any(|o| matches!(o, OutputItem::Agg { .. }));
+/// Shared pipeline tail: aggregate or sort, then LIMIT. `layout` is the
+/// last step's row layout; a projection's rows already hold their
+/// outputs first, so it only drops trailing ORDER BY cells.
+fn finish(
+    plan: &Plan,
+    prof: &mut ExecProfile,
+    mut current: Vec<Row>,
+    layout: &[ColRef],
+) -> Result<QueryResult> {
     let mut columns = output_columns(plan);
     let mut rows: Vec<Row>;
     let finish_started = std::time::Instant::now();
-    if has_agg {
-        let groups = accumulate_rows(plan, &current)?;
+    if has_aggregate(plan) {
+        let groups = accumulate_rows(plan, &current, &|c| slot_of(layout, c))?;
         rows = finalize_groups(plan, groups)?;
         rows = order_aggregate_output(plan, rows)?;
         prof.note("aggregate", &rows, finish_started);
     } else {
         if !plan.order_by.is_empty() {
             let keys: Vec<(usize, bool)> =
-                plan.order_by.iter().map(|(c, desc)| (plan.combined_offset(*c), *desc)).collect();
+                plan.order_by.iter().map(|(c, desc)| (slot_of(layout, *c), *desc)).collect();
             current.sort_by(|a, b| compare_rows(a, b, &keys));
         }
-        let proj: Vec<usize> = plan
-            .output
-            .iter()
-            .map(|o| match o {
-                OutputItem::Col { col, .. } => plan.combined_offset(*col),
-                OutputItem::Agg { .. } | OutputItem::Bucket { .. } => unreachable!(),
-            })
-            .collect();
-        rows = current.iter().map(|r| r.project(&proj)).collect();
+        let width = plan.output.len();
+        if layout.len() > width {
+            for r in &mut current {
+                let mut cells = std::mem::replace(r, Row::empty()).into_cells();
+                cells.truncate(width);
+                *r = Row::new(cells);
+            }
+        }
+        rows = current;
         prof.note("project", &rows, finish_started);
     }
     if let Some(limit) = plan.limit {
@@ -376,8 +567,8 @@ fn latest_only(plan: &Plan) -> bool {
     if plan.bindings.len() != 1 || plan.asof.is_some() || plan.bucket.is_some() {
         return false;
     }
-    let id = last_key_offsets(plan, 0).1;
-    let by_id = plan.group_by.iter().all(|g| Some(g.column) == id);
+    let id = last_key_cols(plan, 0).1;
+    let by_id = plan.group_by.iter().all(|g| Some(*g) == id);
     let only_last = plan.output.iter().any(|o| matches!(o, OutputItem::Agg { .. }))
         && plan.output.iter().all(|o| {
             matches!(o, OutputItem::Agg { func: AggFunc::Last, .. } | OutputItem::Col { .. })
@@ -441,61 +632,23 @@ fn filter_implies(f: &ColumnFilter, op: CmpOp, lit: &Datum) -> bool {
     }
 }
 
-/// The bound-side column of the join edge that connects `b` via `col`.
-fn other_side(plan: &Plan, b: usize, col: ColRef) -> ColRef {
-    for j in &plan.joins {
-        if j.left == col && j.right.binding != b {
-            return j.right;
+/// The join edge that connects binding `b` to the bound `prefix`:
+/// `(b's column, the bound column it matches)`.
+fn join_edge_into(plan: &Plan, b: usize, prefix: &[usize]) -> Option<(ColRef, ColRef)> {
+    plan.joins.iter().find_map(|j| {
+        if j.left.binding == b && prefix.contains(&j.right.binding) {
+            Some((j.left, j.right))
+        } else if j.right.binding == b && prefix.contains(&j.left.binding) {
+            Some((j.right, j.left))
+        } else {
+            None
         }
-        if j.right == col && j.left.binding != b {
-            return j.left;
-        }
-    }
-    // join_column_into returned col, so an edge must exist.
-    unreachable!("no join edge for binding {b}")
-}
-
-fn splice(base: &Row, add: &Row, at: usize) -> Row {
-    let mut cells = base.cells().to_vec();
-    for (i, c) in add.cells().iter().enumerate() {
-        cells[at + i] = c.clone();
-    }
-    Row::new(cells)
+    })
 }
 
 /// Re-apply this binding's pushdown filters (providers may over-return).
 fn filters_hold(plan: &Plan, b: usize, row: &Row) -> bool {
     plan.pushdown[b].iter().all(|(c, f)| f.matches(row.get(*c)))
-}
-
-/// Residual predicates whose bindings are all bound must hold.
-fn residuals_hold(plan: &Plan, bound: &[usize], row: &Row) -> bool {
-    plan.residual.iter().all(|p| {
-        if !pred_bound(p, bound) {
-            return true;
-        }
-        eval_pred(plan, p, row)
-    })
-}
-
-fn pred_bound(p: &RPred, bound: &[usize]) -> bool {
-    [&p.left, &p.right].into_iter().all(|o| match o {
-        ROperand::Col(c) => bound.contains(&c.binding),
-        ROperand::Lit(_) => true,
-    })
-}
-
-fn eval_pred(plan: &Plan, p: &RPred, row: &Row) -> bool {
-    let l = operand_value(plan, &p.left, row);
-    let r = operand_value(plan, &p.right, row);
-    cmp_holds(l.sql_cmp(&r), p.op)
-}
-
-fn operand_value(plan: &Plan, o: &ROperand, row: &Row) -> Datum {
-    match o {
-        ROperand::Col(c) => row.get(plan.combined_offset(*c)).clone(),
-        ROperand::Lit(d) => d.clone(),
-    }
 }
 
 fn compare_rows(a: &Row, b: &Row, keys: &[(usize, bool)]) -> Ordering {
@@ -596,9 +749,9 @@ impl AggState {
     }
 }
 
-/// One aggregate output, resolved to combined-row offsets (for a single
-/// binding those equal plain column indices, which is what the vectorized
-/// path relies on).
+/// One aggregate output, with its columns resolved to slots of what is
+/// folded: the last row-pipeline step's layout, or a single binding's
+/// column indices on the vectorized path.
 struct AggSpec {
     func: AggFunc,
     /// Input column offset (`None` for `COUNT(*)`).
@@ -608,37 +761,37 @@ struct AggSpec {
     last_at: Option<(Option<usize>, Option<usize>)>,
 }
 
-fn agg_specs(plan: &Plan) -> Vec<AggSpec> {
+/// The plan's aggregates, with each column resolved by `pos` to its
+/// slot in the rows or batches being folded.
+fn agg_specs(plan: &Plan, pos: &dyn Fn(ColRef) -> usize) -> Vec<AggSpec> {
     plan.output
         .iter()
         .filter_map(|o| match o {
             OutputItem::Agg { func, input, .. } => {
                 let binding = input.map(|c| c.binding).unwrap_or(0);
-                let last_at =
-                    matches!(func, AggFunc::Last).then(|| last_key_offsets(plan, binding));
-                Some(AggSpec {
-                    func: *func,
-                    input: input.map(|c| plan.combined_offset(c)),
-                    last_at,
-                })
+                let last_at = matches!(func, AggFunc::Last).then(|| {
+                    let (ts, id) = last_key_cols(plan, binding);
+                    (ts.map(pos), id.map(pos))
+                });
+                Some(AggSpec { func: *func, input: input.map(pos), last_at })
             }
             OutputItem::Col { .. } | OutputItem::Bucket { .. } => None,
         })
         .collect()
 }
 
-/// Combined offsets of the `(ts, id)` LAST-ordering key of one binding:
-/// its first Ts-typed column and its leading I64 id column (the VTI
-/// layout: `[id, timestamp, tags...]`).
-fn last_key_offsets(plan: &Plan, binding: usize) -> (Option<usize>, Option<usize>) {
+/// The `(ts, id)` LAST-ordering key columns of one binding: its first
+/// Ts-typed column and its leading I64 id column (the VTI layout:
+/// `[id, timestamp, tags...]`).
+fn last_key_cols(plan: &Plan, binding: usize) -> (Option<ColRef>, Option<ColRef>) {
     let schema = plan.bindings[binding].provider.schema();
     let ts = schema
         .columns
         .iter()
         .position(|c| c.dtype == DataType::Ts)
-        .map(|column| plan.combined_offset(ColRef { binding, column }));
+        .map(|column| ColRef { binding, column });
     let id = (schema.columns.first().map(|c| c.dtype) == Some(DataType::I64))
-        .then(|| plan.combined_offset(ColRef { binding, column: 0 }));
+        .then_some(ColRef { binding, column: 0 });
     (ts, id)
 }
 
@@ -670,17 +823,17 @@ fn bucket_datum_of(d: &Datum, interval_us: i64, dtype: DataType) -> Datum {
     }
 }
 
-/// Row-path accumulation: fold combined rows into per-group aggregate
-/// states. Group-key layout: `[bucket_start?] ++ group_by datums`.
-fn accumulate_rows(plan: &Plan, rows: &[Row]) -> Result<HashMap<Vec<Datum>, Vec<AggState>>> {
-    let group_offsets: Vec<usize> =
-        plan.group_by.iter().map(|c| plan.combined_offset(*c)).collect();
+/// Row-path accumulation: fold rows, whose columns `pos` locates, into
+/// per-group aggregate states. Group-key layout: `[bucket_start?] ++
+/// group_by datums`.
+fn accumulate_rows(plan: &Plan, rows: &[Row], pos: &dyn Fn(ColRef) -> usize) -> Result<Groups> {
+    let group_offsets: Vec<usize> = plan.group_by.iter().map(|c| pos(*c)).collect();
     let bucket = plan.bucket.map(|b| {
         let dtype = plan.bindings[b.col.binding].provider.schema().columns[b.col.column].dtype;
-        (plan.combined_offset(b.col), b.interval_us, dtype)
+        (pos(b.col), b.interval_us, dtype)
     });
-    let specs = agg_specs(plan);
-    let mut groups: HashMap<Vec<Datum>, Vec<AggState>> = HashMap::new();
+    let specs = agg_specs(plan, pos);
+    let mut groups: Groups = HashMap::new();
     for row in rows {
         let mut key = Vec::with_capacity(group_offsets.len() + usize::from(bucket.is_some()));
         if let Some((off, interval, dtype)) = bucket {
@@ -716,7 +869,7 @@ fn accumulate_rows(plan: &Plan, rows: &[Row]) -> Result<HashMap<Vec<Datum>, Vec<
 }
 
 /// Turn per-group states into output rows, sorted by group key.
-fn finalize_groups(plan: &Plan, groups: HashMap<Vec<Datum>, Vec<AggState>>) -> Result<Vec<Row>> {
+fn finalize_groups(plan: &Plan, groups: Groups) -> Result<Vec<Row>> {
     let key_base = usize::from(plan.bucket.is_some());
     let mut groups: Vec<(Vec<Datum>, Vec<AggState>)> = groups.into_iter().collect();
     groups.sort_by(|(a, _), (b, _)| {
@@ -893,14 +1046,21 @@ fn asof_left_bounds(probes: &[Option<(Datum, i64)>]) -> Option<(Option<Datum>, i
     Some((shared.then(|| first.clone()), max_ts))
 }
 
-/// ASOF JOIN: pair each left (binding 0) combined row with the latest
-/// right (binding 1) row whose `right_ts` is at-or-before (`<` when
-/// strict) the left row's `left_ts`, within the optional equality
-/// partition. Unmatched left rows keep their NULL right cells. The right
-/// side is scanned once, through [`asof_right_request`].
-fn asof_join(plan: &Plan, spec: AsofSpec, current: Vec<Row>) -> Result<Vec<Row>> {
-    let l_eq_off = spec.eq.map(|(l, _)| plan.combined_offset(l));
-    let l_ts_off = plan.combined_offset(spec.left_ts);
+/// ASOF JOIN: pair each left (binding 0) row, laid out as `left`, with
+/// the latest right (binding 1) row whose `right_ts` is at-or-before
+/// (`<` when strict) the left row's `left_ts`, within the optional
+/// equality partition, and emit through `step`. Unmatched left rows
+/// pair with NULL right cells. The right side is scanned once, through
+/// [`asof_right_request`].
+fn asof_join(
+    plan: &Plan,
+    spec: AsofSpec,
+    left: &[ColRef],
+    step: &Step,
+    current: Vec<Row>,
+) -> Result<Vec<Row>> {
+    let l_eq_off = spec.eq.map(|(l, _)| slot_of(left, l));
+    let l_ts_off = slot_of(left, spec.left_ts);
     let probes: Vec<_> = current.iter().map(|r| asof_key(r, l_ts_off, l_eq_off)).collect();
     // A provider's superset rows land in partitions or times no left row
     // probes, so they need no filtering here.
@@ -924,19 +1084,17 @@ fn asof_join(plan: &Plan, spec: AsofSpec, current: Vec<Row>) -> Result<Vec<Row>>
     for v in parts.values_mut() {
         v.sort_unstable();
     }
-    let right_off = plan.bindings[0].provider.schema().arity();
     let mut out = Vec::with_capacity(current.len());
-    for (row, probe) in current.into_iter().zip(probes) {
+    for (row, probe) in current.iter().zip(probes) {
         let matched = probe.and_then(|(key, lts)| {
             let part = parts.get(&key)?;
             let cut =
                 part.partition_point(|&(ts, _)| if spec.strict { ts < lts } else { ts <= lts });
             cut.checked_sub(1).map(|i| &right_rows[part[i].1])
         });
-        out.push(match matched {
-            Some(m) => splice(&row, m, right_off),
-            None => row,
-        });
+        if step.holds(row.cells(), matched) {
+            out.push(step.build(row.cells(), matched));
+        }
     }
     Ok(out)
 }
@@ -964,7 +1122,7 @@ fn cmp_holds(ord: Option<Ordering>, op: CmpOp) -> bool {
 }
 
 /// Refine `sel` by one residual predicate (single-binding plans only, so
-/// combined offsets are plain column indices).
+/// column references are plain column indices).
 fn apply_residual_vec(p: &RPred, batch: &ColumnBatch, sel: &mut Vec<u32>) {
     match (&p.left, &p.right) {
         (ROperand::Col(c), ROperand::Lit(v)) => {
@@ -1112,13 +1270,81 @@ fn update_global(states: &mut [AggState], specs: &[AggSpec], batch: &ColumnBatch
     }
 }
 
+/// Per-group aggregate states of a grouped fold, by group key.
+type Groups = HashMap<Vec<Datum>, Vec<AggState>>;
+
+/// Dense aggregate states for a `time_bucket` fold with no other key:
+/// slot `i` holds the states of the bucket starting at `first + i·width`,
+/// so a run of same-bucket rows folds into an index instead of a key
+/// build and a map probe.
+struct DenseBuckets {
+    first: i64,
+    width: i64,
+    /// Aggregates per slot.
+    per: usize,
+    states: Vec<AggState>,
+    seen: Vec<bool>,
+}
+
+impl DenseBuckets {
+    /// Slots for every bucket the batches' time ranges span, or `None`
+    /// when a batch with rows has no time range or the range holds more
+    /// buckets than the batches hold rows (a sparse range folds into a
+    /// map).
+    fn new(batches: &[ColumnBatch], width: i64, per: usize) -> Option<DenseBuckets> {
+        let (mut lo, mut hi, mut rows) = (i64::MAX, i64::MIN, 0u64);
+        for b in batches.iter().filter(|b| b.len > 0) {
+            let (l, h) = b.ts_range?;
+            (lo, hi, rows) = (lo.min(l), hi.max(h), rows + b.len as u64);
+        }
+        if rows == 0 {
+            return None;
+        }
+        let (lo_k, hi_k) = (lo.div_euclid(width), hi.div_euclid(width));
+        let n = u64::try_from(hi_k.checked_sub(lo_k)?).ok()?.checked_add(1)?;
+        if n > rows {
+            return None;
+        }
+        let n = n as usize;
+        Some(DenseBuckets {
+            first: lo_k.checked_mul(width)?,
+            width,
+            per,
+            states: (0..n * per).map(|_| AggState::new()).collect(),
+            seen: vec![false; n],
+        })
+    }
+
+    /// The states of the bucket starting at `start`, if inside the range.
+    fn slot(&mut self, start: i64) -> Option<&mut [AggState]> {
+        let i = usize::try_from(start.checked_sub(self.first)? / self.width).ok()?;
+        *self.seen.get_mut(i)? = true;
+        Some(&mut self.states[i * self.per..(i + 1) * self.per])
+    }
+
+    /// Move every bucket a run reached into `groups`, keyed as the map
+    /// fold keys it.
+    fn drain_into(self, groups: &mut Groups, dtype: DataType) {
+        let mut states = self.states.into_iter();
+        for (i, seen) in self.seen.into_iter().enumerate() {
+            let slot: Vec<AggState> = states.by_ref().take(self.per).collect();
+            if seen {
+                let start = self.first + i as i64 * self.width;
+                groups.insert(vec![typed_i64(start, dtype)], slot);
+            }
+        }
+    }
+}
+
 /// Vectorized grouped accumulation (bucket and/or GROUP BY keys) over the
 /// selected rows of one batch. The selection splits into runs of rows
 /// with equal keys, compared in place (the bucket as an `i64`), and each
-/// run folds through [`update_global`]; a key is built only where a run
+/// run folds through [`update_global`]: into its `dense` slot when there
+/// is one, otherwise into `groups`, with a key built where the run
 /// starts. A summary batch is a single run, bucketed by its time range.
 fn accumulate_selected(
-    groups: &mut HashMap<Vec<Datum>, Vec<AggState>>,
+    groups: &mut Groups,
+    mut dense: Option<&mut DenseBuckets>,
     specs: &[AggSpec],
     batch: &ColumnBatch,
     sel: &[u32],
@@ -1153,6 +1379,12 @@ fn accumulate_selected(
             }
             end += 1;
         }
+        let run = &sel[start..end];
+        start = end;
+        if let Some(states) = dense.as_deref_mut().zip(b).and_then(|(d, b)| d.slot(b)) {
+            update_global(states, specs, batch, run);
+            continue;
+        }
         let mut key = Vec::with_capacity(group_cols.len() + usize::from(bucket.is_some()));
         if let Some((.., dtype)) = bucket {
             key.push(b.map_or(Datum::Null, |lo| typed_i64(lo, dtype)));
@@ -1160,8 +1392,7 @@ fn accumulate_selected(
         key.extend(group_cols.iter().map(|&g| batch.cols[g].datum(first, batch.dtypes[g])));
         let states =
             groups.entry(key).or_insert_with(|| specs.iter().map(|_| AggState::new()).collect());
-        update_global(states, specs, batch, &sel[start..end]);
-        start = end;
+        update_global(states, specs, batch, run);
     }
 }
 
@@ -1171,9 +1402,7 @@ fn try_vectorized(plan: &Plan, prof: &mut ExecProfile) -> Result<Option<QueryRes
     if plan.bindings.len() != 1 || plan.asof.is_some() {
         return Ok(None);
     }
-    let has_agg =
-        plan.bucket.is_some() || plan.output.iter().any(|o| matches!(o, OutputItem::Agg { .. }));
-    if !has_agg {
+    if !has_aggregate(plan) {
         return Ok(None); // pure projections stay on the row path
     }
     let provider = &plan.bindings[0].provider;
@@ -1187,7 +1416,7 @@ fn try_vectorized(plan: &Plan, prof: &mut ExecProfile) -> Result<Option<QueryRes
         return Ok(None);
     };
     let schema = provider.schema();
-    let specs = agg_specs(plan);
+    let specs = agg_specs(plan, &|c| c.column);
     let bucket =
         plan.bucket.map(|b| (b.col.column, b.interval_us, schema.columns[b.col.column].dtype));
     let group_cols: Vec<usize> = plan.group_by.iter().map(|c| c.column).collect();
@@ -1202,7 +1431,17 @@ fn try_vectorized(plan: &Plan, prof: &mut ExecProfile) -> Result<Option<QueryRes
         batches.sort_by_key(|b| std::cmp::Reverse(b.ts_range.map(|(_, hi)| hi)));
     }
 
-    let mut groups: HashMap<Vec<Datum>, Vec<AggState>> = HashMap::new();
+    // A bucket-only fold of mergeable aggregates over the timestamp
+    // column folds into dense slots when the batches' time ranges allow.
+    let mergeable = specs.iter().all(|s| {
+        s.func != AggFunc::Last && s.input.is_none_or(|c| schema.columns[c].dtype == DataType::F64)
+    });
+    let on_ts = bucket.is_some_and(|(c, ..)| last_key_cols(plan, 0).0.map(|t| t.column) == Some(c));
+    let mut dense = bucket
+        .filter(|_| group_cols.is_empty() && mergeable && on_ts)
+        .and_then(|(_, width, _)| DenseBuckets::new(&batches, width, specs.len()));
+
+    let mut groups: Groups = HashMap::new();
     let mut global_states: Vec<AggState> = specs.iter().map(|_| AggState::new()).collect();
     let (mut n_batches, mut rows_in, mut rows_sel) = (0u64, 0u64, 0u64);
     let mut sel: Vec<u32> = Vec::new(); // the selection vector, reused per batch
@@ -1230,11 +1469,22 @@ fn try_vectorized(plan: &Plan, prof: &mut ExecProfile) -> Result<Option<QueryRes
         if global {
             update_global(&mut global_states, &specs, batch, &sel);
         } else {
-            accumulate_selected(&mut groups, &specs, batch, &sel, bucket, &group_cols);
+            accumulate_selected(
+                &mut groups,
+                dense.as_mut(),
+                &specs,
+                batch,
+                &sel,
+                bucket,
+                &group_cols,
+            );
         }
     }
     if global {
         groups.insert(Vec::new(), global_states);
+    }
+    if let (Some(d), Some((.., dtype))) = (dense, bucket) {
+        d.drain_into(&mut groups, dtype);
     }
     let rows = finalize_groups(plan, groups)?;
     let mut rows = order_aggregate_output(plan, rows)?;

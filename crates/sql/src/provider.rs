@@ -298,9 +298,14 @@ impl TableProvider for MemTable {
             .filter(|&i| req.filters.iter().all(|(c, f)| f.matches(rows[i].get(*c))))
             .collect();
         let dtypes: Arc<[DataType]> = self.schema.columns.iter().map(|c| c.dtype).collect();
+        let ts_col = dtypes.iter().position(|&d| d == DataType::Ts);
         let mut batches = Vec::with_capacity(keep.len().div_ceil(BATCH_SIZE).max(1));
         for chunk in keep.chunks(BATCH_SIZE.max(1)) {
             let len = chunk.len();
+            let ts = chunk.iter().filter_map(|&ri| rows[ri].get(ts_col?).as_ts().map(|t| t.0));
+            let ts_range = ts.fold(None, |r: Option<(i64, i64)>, t| {
+                Some(r.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))))
+            });
             let mut cols = Vec::with_capacity(dtypes.len());
             for (ci, &dt) in dtypes.iter().enumerate() {
                 if !req.needed.contains(&ci) {
@@ -351,7 +356,7 @@ impl TableProvider for MemTable {
                 len,
                 dtypes: dtypes.clone(),
                 cols,
-                ts_range: None,
+                ts_range,
                 summary: false,
             });
         }

@@ -263,6 +263,9 @@ pub struct ColumnarChunk {
     /// `Some` for a sealed batch answered by its summary: `ts`, `ids` and
     /// `cols` are then empty and the summary describes every row.
     pub summary: Option<BatchSummary>,
+    /// The chunk's non-NULL values, when it is a whole, unmasked sealed
+    /// batch and its seal-time summaries count them.
+    whole_points: Option<u64>,
 }
 
 impl ColumnarChunk {
@@ -309,17 +312,28 @@ impl ColumnarChunk {
             .collect();
         self.ts = rows.iter().map(|&r| self.ts[r]).collect();
         self.start = 0;
+        self.whole_points = None;
     }
 
-    /// Non-NULL values in the chunk (what `points_scanned` counts).
+    /// Non-NULL values in the chunk (what `points_scanned` counts): a
+    /// whole batch's from its summaries, otherwise cell by cell.
     fn points(&self) -> u64 {
-        self.cols
-            .iter()
-            .map(|c| {
-                c[self.start..self.start + self.ts.len()].iter().filter(|v| v.is_some()).count()
-                    as u64
-            })
-            .sum()
+        let counted = || {
+            self.cols
+                .iter()
+                .map(|c| {
+                    c[self.start..self.start + self.ts.len()].iter().filter(|v| v.is_some()).count()
+                        as u64
+                })
+                .sum()
+        };
+        match self.whole_points {
+            Some(n) => {
+                debug_assert_eq!(n, counted(), "a whole batch's summaries count its values");
+                n
+            }
+            None => counted(),
+        }
     }
 }
 
@@ -1882,6 +1896,29 @@ impl OdhTable {
         Ok(self.note_points(out))
     }
 
+    /// Columnar historical scan: the rows of
+    /// [`OdhTable::historical_scan_filtered`] as [`ColumnarChunk`]s, in
+    /// read order, under the same one-source scope: `NotFound` for an
+    /// unregistered source, and every per-source generation read whatever
+    /// the source's class. No summaries.
+    pub fn historical_columnar(
+        &self,
+        source: SourceId,
+        t1: Timestamp,
+        t2: Timestamp,
+        tags: &[usize],
+        tag_ranges: &[(usize, f64, f64)],
+    ) -> Result<Vec<ColumnarChunk>> {
+        let scope = Scope::Source(source);
+        let sink = || Sink::Chunks(vec![]);
+        let Sink::Chunks(out) =
+            self.read_consistent(scope, t1, t2, tags, tag_ranges, None, sink)?
+        else {
+            unreachable!("a columnar read yields chunks")
+        };
+        Ok(self.note_points(out))
+    }
+
     /// [`OdhTable::scan_columnar`] for a fold whose only aggregates are
     /// LAST: greatest `(ts, source)` per requested tag, over every source
     /// or per source. It may leave out any row of a per-source structure
@@ -2063,9 +2100,10 @@ impl OdhTable {
     /// `per_source` (sorted) in `gens` whose key can overlap the pass's
     /// range, generation by generation in key order.
     ///
-    /// When the sources are at least as many as a generation's records,
-    /// one walk over its index visits each record once where the
-    /// per-source descents would pay a root-to-leaf path each. The walk
+    /// One walk over a generation's index visits each record once, where
+    /// the per-source descents pay a root-to-leaf path each; the walk is
+    /// taken when a generation's records are at most
+    /// [`DESCENT_COST_PER_LEVEL`] × sources × index height. The walk
     /// keeps exactly the keys the descents reach, so both fetch the same
     /// batches.
     fn per_source_batches(
@@ -2080,7 +2118,8 @@ impl OdhTable {
             if per_source.is_empty() || records == 0 {
                 continue;
             }
-            if per_source.len() as u64 >= records {
+            let descents = per_source.len() as u64 * u64::from(container.index_height());
+            if records <= DESCENT_COST_PER_LEVEL.saturating_mul(descents) {
                 self.meter.cpu(self.meter.costs.buffer_hit * records as f64);
                 let lo = pass.t1.saturating_sub(container.max_span());
                 for (key, rid) in container.keyed_rids(None, None)? {
@@ -2203,6 +2242,7 @@ impl OdhTable {
                             cols: pass.tags.iter().map(|_| Arc::new(vec![None])).collect(),
                             start: 0,
                             summary: None,
+                            whole_points: None,
                         });
                     }
                     return Ok(());
@@ -2231,6 +2271,7 @@ impl OdhTable {
                     time_range: (begin, end),
                     tags: pass.tags.iter().map(|&t| sums[t].clone()).collect(),
                 }),
+                whole_points: None,
             });
             return Ok(());
         }
@@ -2248,6 +2289,12 @@ impl OdhTable {
             Batch::Mg(b) => Some(b.ids[lo..hi].to_vec()),
             _ => None,
         };
+        // A whole batch that no row filter touches holds exactly the
+        // values its seal-time summaries count.
+        let whole_points = batch
+            .summaries()
+            .filter(|_| !per_row && lo == 0 && hi == entry.ts.len())
+            .map(|sums| pass.tags.iter().map(|&t| sums[t].count).sum());
         let mut chunk = ColumnarChunk {
             source,
             ids,
@@ -2255,6 +2302,7 @@ impl OdhTable {
             cols,
             start: lo,
             summary: None,
+            whole_points,
         };
         if per_row {
             chunk.retain(|src, t| pass.wants(src) && !pass.masks(src, t, tally));
@@ -2465,6 +2513,15 @@ impl Drop for OdhTable {
     }
 }
 
+/// What one level of an index descent costs, in record visits of an
+/// index walk. Measured on a 2-level index of 4-tag IRTS batches: at
+/// 1,024 sources over 3,072 records the walk read a LAST-only scan in
+/// 1.07–1.46 ms against 1.44–2.50 ms for the descents, and a slice in
+/// 0.68–0.99 against 1.11–1.71 ms; at 256 sources over 6,144 records and
+/// at 64 over 3,072 the descents read the slice in 0.25 and 0.06–0.10 ms
+/// against the walk's 0.57–0.59 and 0.25 ms.
+const DESCENT_COST_PER_LEVEL: u64 = 2;
+
 /// Offset of the first of one source's rows (`ts` ascending; their
 /// requested tag values at `start..` of `cols`) that no later row
 /// outdoes. Every earlier row, in each tag where it holds a value, is
@@ -2516,6 +2573,7 @@ fn owned_chunk(
         cols: cols.into_iter().map(Arc::new).collect(),
         start: 0,
         summary: None,
+        whole_points: None,
     })
 }
 

@@ -201,6 +201,80 @@ fn naive_last(rows: &[(u64, i64, [Option<f64>; 2])], tag: usize) -> Vec<(u64, i6
     best.into_iter().map(|(id, (ts, v))| (id, ts, v)).collect()
 }
 
+/// A memory table that, when the executor allows summaries at a bucket
+/// grain, answers the rows of even-numbered buckets with one summary
+/// batch each and the rest with the table's own row batches.
+struct HalfSummarized {
+    inner: std::sync::Arc<MemTable>,
+    schema: RelSchema,
+}
+
+impl odh_sql::provider::TableProvider for HalfSummarized {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn schema(&self) -> &RelSchema {
+        &self.schema
+    }
+    fn estimate_rows(&self, f: &[(usize, odh_sql::provider::ColumnFilter)]) -> f64 {
+        self.inner.estimate_rows(f)
+    }
+    fn estimate_cost(&self, r: &odh_sql::provider::ScanRequest) -> f64 {
+        self.inner.estimate_cost(r)
+    }
+    fn scan(&self, r: &odh_sql::provider::ScanRequest) -> odh_types::Result<Vec<Row>> {
+        self.inner.scan(r)
+    }
+    fn scan_columnar(
+        &self,
+        r: &odh_sql::provider::ScanRequest,
+    ) -> Option<odh_types::Result<odh_sql::provider::ColumnarScan>> {
+        use odh_sql::column::{ColVec, ColumnBatch, NumAgg};
+        let Some(odh_sql::provider::SummaryGrain::Bucket { column, width }) = r.summaries else {
+            return self.inner.scan_columnar(r);
+        };
+        let ts_of = |row: &Row| row.get(column).as_ts().map(|t| t.0);
+        let mut summed: std::collections::BTreeMap<i64, Vec<Row>> = Default::default();
+        let plain = MemTable::new(self.schema.clone());
+        for row in self.inner.scan(r).unwrap() {
+            match ts_of(&row).map(|t| t.div_euclid(width)) {
+                Some(k) if k % 2 == 0 => summed.entry(k).or_default().push(row),
+                _ => plain.insert(row),
+            }
+        }
+        let plain_req = odh_sql::provider::ScanRequest { summaries: None, ..r.clone() };
+        let mut scan = plain.scan_columnar(&plain_req)?.unwrap();
+        let dtypes: std::sync::Arc<[odh_types::DataType]> =
+            self.schema.columns.iter().map(|c| c.dtype).collect();
+        for rows in summed.into_values() {
+            let ts: Vec<i64> = rows.iter().filter_map(ts_of).collect();
+            let cols = (0..dtypes.len())
+                .map(|c| {
+                    if dtypes[c] != odh_types::DataType::F64 || !r.needed.contains(&c) {
+                        return ColVec::Absent;
+                    }
+                    let vals: Vec<f64> =
+                        rows.iter().filter_map(|row| row.get(c).as_f64()).collect();
+                    ColVec::Summary(NumAgg {
+                        count: vals.len() as i64,
+                        sum: vals.iter().sum(),
+                        min: vals.iter().copied().fold(f64::INFINITY, f64::min),
+                        max: vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                    })
+                })
+                .collect();
+            scan.batches.push(ColumnBatch {
+                len: rows.len(),
+                dtypes: dtypes.clone(),
+                cols,
+                ts_range: Some((*ts.iter().min().unwrap(), *ts.iter().max().unwrap())),
+                summary: true,
+            });
+        }
+        Some(Ok(scan))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -461,6 +535,203 @@ proptest! {
         }
     }
 
+    /// Relational tables index-joined into the historian's virtual table,
+    /// in the shapes of TQ3, TQ4, LQ3 and LQ4, vs a naive nested loop over
+    /// what was written, compared as multisets: account rows with a NULL
+    /// key and with ids never registered, MG-class sources, rows arriving
+    /// behind the seal watermark, a tombstone, a residual over both sides,
+    /// an ORDER BY on columns the output leaves out, and a LIMIT. Every
+    /// output row carries cells of each side, so a row built with a cell
+    /// misplaced or dropped differs from the model.
+    #[test]
+    fn index_join_into_virtual_table_matches_naive_nested_loop(
+        stream in prop::collection::vec(
+            (0u64..6, 0i64..40, prop::option::of(-50.0f64..50.0)),
+            1..100,
+        ),
+        accounts in prop::collection::vec(
+            (prop::option::of(0i64..8), 0i64..3, -50.0f64..50.0),
+            1..12,
+        ),
+        seed in any::<u64>(),
+        del in (0u64..6, 0i64..40, 0i64..8),
+        pick in (0i64..12, 0i64..3, -50.0f64..50.0),
+    ) {
+        let h = Historian::builder().servers(2).build().unwrap();
+        h.define_schema_type(
+            TableConfig::new(SchemaType::new("p", ["v", "w"]))
+                .with_batch_size(8)
+                .with_mg_group_size(2)
+                .with_seal_workers(0),
+        )
+        .unwrap();
+        // Ids 4 and 5 are MG-class; 6 and 7 are never registered.
+        for id in 0..6u64 {
+            let class =
+                if id < 4 { SourceClass::irregular_high() } else { SourceClass::irregular_low() };
+            h.register_source("p", SourceId(id), class).unwrap();
+        }
+        // Each row's `w` is its index, so a joined row names its row.
+        let rows: Vec<(u64, i64, Option<f64>, f64)> = stream
+            .iter()
+            .enumerate()
+            .map(|(i, &(id, t, v))| (id, t * 1_000, v, i as f64))
+            .collect();
+        let w = h.writer("p").unwrap();
+        let order = permutation(rows.len(), seed);
+        for (n, &i) in order.iter().enumerate() {
+            let (id, ts, v, wv) = rows[i];
+            w.write(&Record::new(SourceId(id), Timestamp(ts), vec![v, Some(wv)])).unwrap();
+            if n == order.len() / 2 {
+                h.flush().unwrap();
+            }
+        }
+        let (dsrc, t1, t2) = (del.0, del.1 * 1_000, (del.1 + del.2) * 1_000);
+        h.delete("p", &DeletePredicate::for_sources(t1, t2, [SourceId(dsrc)])).unwrap();
+        let live: Vec<_> = rows
+            .iter()
+            .copied()
+            .filter(|&(id, ts, _, _)| !(id == dsrc && (t1..=t2).contains(&ts)))
+            .collect();
+
+        let acct = h.create_relational_table(RelSchema::new(
+            "acct",
+            [
+                ("a_id", odh_types::DataType::I64),
+                ("a_name", odh_types::DataType::Str),
+                ("a_cust", odh_types::DataType::I64),
+                ("a_lat", odh_types::DataType::F64),
+            ],
+        ));
+        acct.create_index("acct_cust", "a_cust").unwrap();
+        let accts: Vec<(Option<i64>, String, i64, f64)> = accounts
+            .iter()
+            .enumerate()
+            .map(|(i, &(id, cust, lat))| (id, format!("n{}", i % 6), cust, lat))
+            .collect();
+        for (id, name, cust, lat) in &accts {
+            let id = id.map_or(Datum::Null, Datum::I64);
+            acct.insert(&Row::new(vec![
+                id,
+                Datum::str(name.clone()),
+                Datum::I64(*cust),
+                Datum::F64(*lat),
+            ]))
+            .unwrap();
+        }
+        let cust = h.create_relational_table(RelSchema::new(
+            "cust",
+            [("c_id", odh_types::DataType::I64), ("c_year", odh_types::DataType::I64)],
+        ));
+        for c in 0..3i64 {
+            cust.insert(&Row::new(vec![Datum::I64(c), Datum::I64(1960 + c)])).unwrap();
+        }
+
+        // The naive joins: every (account, live row) pair on the id.
+        let pairs = || {
+            accts.iter().flat_map(|a| {
+                live.iter().filter(move |r| a.0 == Some(r.0 as i64)).map(move |r| (a, r))
+            })
+        };
+        let f = |v: Option<f64>| v.map_or(Datum::Null, Datum::F64);
+        let ts = |t: i64| Datum::Ts(Timestamp(t));
+        let sorted = |mut rows: Vec<Row>| -> Vec<String> {
+            rows.sort_by_key(|r| format!("{r:?}"));
+            rows.into_iter().map(|r| format!("{r:?}")).collect()
+        };
+        let name = format!("n{}", pick.0 % 6);
+        let (lo_year, lat) = (1960 + pick.1, pick.2);
+        // TQ3 / LQ3: one account by name.
+        let tq3 = format!(
+            "select timestamp, w, a_lat, v from p_v x, acct a \
+             where a.a_id = x.id and a.a_name = '{name}'"
+        );
+        let want3: Vec<Row> = pairs()
+            .filter(|(a, _)| a.1 == name)
+            .map(|(a, r)| Row::new(vec![ts(r.1), Datum::F64(r.3), Datum::F64(a.3), f(r.2)]))
+            .collect();
+        // TQ4: accounts of customers born from a year on, three ways.
+        let tq4 = format!(
+            "select a_name, timestamp, x.id, w from p_v x, acct a, cust c \
+             where a.a_id = x.id and a.a_cust = c.c_id and c_year >= {lo_year}"
+        );
+        let want4: Vec<Row> = pairs()
+            .filter(|(a, _)| 1960 + a.2 >= lo_year)
+            .map(|(a, r)| {
+                Row::new(vec![
+                    Datum::str(a.1.clone()),
+                    ts(r.1),
+                    Datum::I64(r.0 as i64),
+                    Datum::F64(r.3),
+                ])
+            })
+            .collect();
+        // LQ4: a range over the account side, plus a residual over both.
+        let lq4 = format!(
+            "select timestamp, x.id, w, a_name from p_v x, acct a \
+             where a.a_id = x.id and a_lat > {lat} and v < a_lat"
+        );
+        let want_lq4: Vec<Row> = pairs()
+            .filter(|(a, r)| a.3 > lat && r.2.is_some_and(|v| v < a.3))
+            .map(|(a, r)| {
+                Row::new(vec![
+                    ts(r.1),
+                    Datum::I64(r.0 as i64),
+                    Datum::F64(r.3),
+                    Datum::str(a.1.clone()),
+                ])
+            })
+            .collect();
+        for (q, want) in [(&tq3, &want3), (&tq4, &want4), (&lq4, &want_lq4)] {
+            let got = h.sql(q).unwrap().rows;
+            prop_assert_eq!(sorted(got), sorted(want.clone()), "{}", q);
+        }
+        let plan = h.explain(&tq3).unwrap();
+        prop_assert!(plan.starts_with("scan a") && plan.contains("-> join x"), "{}", plan);
+
+        // ORDER BY columns the output leaves out: within each run of
+        // equal sort keys the rows match as a multiset, and the runs come
+        // in key order. With LIMIT, the kept rows are the first keys'.
+        let ordered = "select a_name, w from p_v x, acct a where a.a_id = x.id \
+                       order by timestamp desc, x.id";
+        let mut keyed: Vec<((i64, u64), Row)> = pairs()
+            .map(|(a, r)| {
+                ((r.1, r.0), Row::new(vec![Datum::str(a.1.clone()), Datum::F64(r.3)]))
+            })
+            .collect();
+        keyed.sort_by(|x, y| y.0 .0.cmp(&x.0 .0).then(x.0 .1.cmp(&y.0 .1)));
+        let got = h.sql(ordered).unwrap().rows;
+        prop_assert_eq!(got.len(), keyed.len());
+        let mut at = 0;
+        while at < keyed.len() {
+            let end = at + keyed[at..].iter().take_while(|k| k.0 == keyed[at].0).count();
+            let want: Vec<Row> = keyed[at..end].iter().map(|k| k.1.clone()).collect();
+            prop_assert_eq!(sorted(got[at..end].to_vec()), sorted(want), "{}", ordered);
+            at = end;
+        }
+        let limited = "select timestamp, x.id, w, a_name from p_v x, acct a \
+                       where a.a_id = x.id order by timestamp desc, x.id limit 5";
+        let got = h.sql(limited).unwrap().rows;
+        prop_assert_eq!(got.len(), keyed.len().min(5));
+        let all: Vec<String> = sorted(
+            pairs()
+                .map(|(a, r)| {
+                    Row::new(vec![
+                        ts(r.1),
+                        Datum::I64(r.0 as i64),
+                        Datum::F64(r.3),
+                        Datum::str(a.1.clone()),
+                    ])
+                })
+                .collect(),
+        );
+        for (row, k) in got.iter().zip(&keyed) {
+            prop_assert_eq!(row.get(0), &ts(k.0 .0));
+            prop_assert_eq!(row.get(1), &Datum::I64(k.0 .1 as i64));
+            prop_assert!(all.contains(&format!("{row:?}")), "{:?} is no joined row", row);
+        }
+    }
+
     /// Tentpole equivalence: every aggregate/group-by/bucket/gap-fill query
     /// must return the same rows whether it runs through the vectorized
     /// columnar path or the row-at-a-time fallback — including NULL-dense
@@ -471,17 +742,19 @@ proptest! {
             (0i64..4, 0i64..40, prop::option::of(-100.0f64..100.0)),
             0..100,
         ),
-        bucket in prop_oneof![Just(1_000i64), Just(7_777i64), Just(50_000i64)],
+        bucket in prop_oneof![Just(1i64), Just(1_000i64), Just(7_777i64), Just(50_000i64)],
+        summaries in any::<bool>(),
     ) {
         let engine = SqlEngine::new();
-        let t = MemTable::new(RelSchema::new(
+        let schema = RelSchema::new(
             "t",
             [
                 ("g", odh_types::DataType::I64),
                 ("ts", odh_types::DataType::Ts),
                 ("v", odh_types::DataType::F64),
             ],
-        ));
+        );
+        let t = MemTable::new(schema.clone());
         // Timestamps on a coarse grid tie across groups; (g, ts) stays
         // unique, so the greatest (ts, g) names one LAST on both paths.
         // The grid spans 0..97,500 µs, so every bucket width splits it.
@@ -494,8 +767,25 @@ proptest! {
                 v.map(Datum::F64).unwrap_or(Datum::Null),
             ]));
         }
-        engine.register(t);
+        // Optionally behind a provider that answers every other bucket
+        // with summary batches, the rest with row batches.
+        if summaries {
+            engine.register(std::sync::Arc::new(HalfSummarized { inner: t, schema }));
+        } else {
+            engine.register(t);
+        }
+        // Width 1 spans more buckets than rows, so the bucket fold uses
+        // its map; the wider ones fold into dense bucket slots.
         let queries = [
+            format!(
+                "select time_bucket({bucket}, ts), COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), \
+                 MAX(v) from t group by time_bucket({bucket}, ts)"
+            ),
+            format!(
+                "select time_bucket({bucket}, ts), SUM(v) from t where ts >= '{}' \
+                 group by time_bucket({bucket}, ts)",
+                Timestamp(40_000)
+            ),
             "select COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v) from t".to_string(),
             "select g, COUNT(*), SUM(v), MIN(v), MAX(v) from t group by g".to_string(),
             "select g, LAST(v) from t group by g".to_string(),
