@@ -7,9 +7,9 @@
 //! Modes:
 //! - default: print the full Prometheus-style exposition
 //!   (`Historian::metrics_text`).
-//! - `--names`: print just the sorted, de-duplicated metric names (labels
-//!   stripped) — the surface the CI `obs-smoke` job diffs against
-//!   `tests/golden/metrics_catalog.txt`.
+//! - `--names`: print just the sorted, de-duplicated metric names
+//!   (`Registry::names`) — the surface the CI `obs-smoke` job diffs
+//!   against `tests/golden/metrics_catalog.txt`.
 //! - `--explain`: print `EXPLAIN ANALYZE` reports (per-operator
 //!   rows/bytes/time + registry-attributed read-path deltas) for the
 //!   workload's pushdown and row-scan queries instead of the exposition.
@@ -103,19 +103,6 @@ fn print_net_attribution(h: &Historian) {
     );
 }
 
-/// Metric names appearing in an exposition: strip `{labels}` and the
-/// value, de-duplicate, sort.
-fn names_of(text: &str) -> Vec<String> {
-    let mut names: Vec<String> = text
-        .lines()
-        .filter_map(|l| l.split_whitespace().next())
-        .map(|k| k.split('{').next().unwrap_or(k).to_string())
-        .collect();
-    names.sort();
-    names.dedup();
-    names
-}
-
 fn main() {
     let names_only = std::env::args().any(|a| a == "--names");
     let explain = std::env::args().any(|a| a == "--explain");
@@ -131,12 +118,11 @@ fn main() {
         print_net_attribution(&h);
         return;
     }
-    let text = h.metrics_text();
     if names_only {
-        for n in names_of(&text) {
+        for n in h.registry().names() {
             println!("{n}");
         }
     } else {
-        print!("{text}");
+        print!("{}", h.metrics_text());
     }
 }

@@ -401,9 +401,9 @@ pub fn parallel_ingest_bench(thread_counts: &[usize]) -> Result<Vec<IngestBenchP
             plain_secs.push(plain);
             (locks, contended) = (0, 0);
             for s in cluster.servers() {
-                let snap = s.table("trade")?.concurrency().snapshot();
-                locks += snap.shard_locks;
-                contended += snap.shard_contended;
+                let table = s.table("trade")?;
+                locks += table.concurrency().shard_locks.get();
+                contended += table.concurrency().shard_contended.get();
             }
             // The WAL arm: same partition, WAL-attached servers, closed by
             // a group-commit sync barrier — what durability costs. The
@@ -562,19 +562,31 @@ fn run_query_point(
     } else {
         h.sql(sql)?;
     }
+    // The read-path counters this point reports the movement of.
+    let counters = || {
+        [
+            "odh_table_summary_answered_batches_total",
+            "odh_table_cache_hits_total",
+            "odh_table_cache_misses_total",
+            "odh_table_blob_decodes_total",
+        ]
+        .map(|name| h.registry().sum_counter(name))
+    };
     let mut walls = Vec::with_capacity(repeats);
-    let mut delta = odh_core::ExplainStats::default();
+    let mut delta = [0u64; 4];
     for _ in 0..repeats {
         if cold {
             clear_decode_caches(h, schema);
         }
-        let before = h.explain_stats(schema);
+        let before = counters();
         let t0 = std::time::Instant::now();
         let r = h.sql(sql)?;
         walls.push(t0.elapsed().as_secs_f64());
         std::hint::black_box(r.rows.len());
-        delta = before.delta(&h.explain_stats(schema));
+        let after = counters();
+        delta = std::array::from_fn(|i| after[i] - before[i]);
     }
+    let [summary_answered_batches, cache_hits, cache_misses, blob_decodes] = delta;
     let wall_secs = median(&mut walls);
     Ok(QueryBenchPoint {
         op: op.to_string(),
@@ -583,10 +595,10 @@ fn run_query_point(
         repeats: repeats as u64,
         wall_secs,
         qps: 1.0 / wall_secs.max(1e-9),
-        summary_answered_batches: delta.summary_answered_batches,
-        cache_hits: delta.cache_hits,
-        cache_misses: delta.cache_misses,
-        blob_decodes: delta.blob_decodes,
+        summary_answered_batches,
+        cache_hits,
+        cache_misses,
+        blob_decodes,
     })
 }
 

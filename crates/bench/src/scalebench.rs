@@ -4,7 +4,7 @@
 //! The paper's motivating deployments meter *millions* of sources (smart
 //! meters, vehicle fleets) where most sources are low-frequency and the
 //! per-source bookkeeping — not the row data — becomes the memory wall.
-//! This harness measures what the sharded [`SourceRegistry`] and the
+//! This harness measures what the sharded `SourceRegistry` and the
 //! bitmap buffer diet buy at that scale, and feeds `results/
 //! BENCH_scale.json` plus `gate scale`:
 //!
@@ -32,8 +32,6 @@
 //!    also carries `SCALE_TD_SOURCES` (default 100k) registered sources
 //!    — the registry must not tax the hot put path. `ingest_vs_baseline`
 //!    is the ratio against the committed `BENCH_ingest.json`.
-//!
-//! [`SourceRegistry`]: odh_storage — crates/storage/src/registry.rs
 
 use crate::{median, results_dir, IngestBenchPoint, BENCH_CORES};
 use iotx::td::{TdSpec, TradeGen};
@@ -69,7 +67,7 @@ pub struct ScalePoint {
     /// records + shard tables, no buffers yet).
     pub registry_bytes_per_source: f64,
     /// Live heap bytes per source after every source buffered
-    /// [`WARM_ROWS`] row(s) — the resident cost of an *active* source.
+    /// `WARM_ROWS` row(s) — the resident cost of an *active* source.
     pub active_bytes_per_source: f64,
     /// The table's own accounting gauges at the same instant.
     pub gauge_registry_bytes: u64,
@@ -296,7 +294,8 @@ fn sweep_point(n: u64, live: impl Fn() -> u64) -> Result<ScalePoint> {
     let wall = ingest_start.elapsed().as_secs_f64();
     t.flush()?;
 
-    let snap = t.registry_concurrency().snapshot();
+    let locks = t.registry_concurrency();
+    let (shard_locks, shard_contended) = (locks.shard_locks.get(), locks.shard_contended.get());
     let query_ops = query_ops.load(Ordering::Relaxed);
     Ok(ScalePoint {
         sources: n,
@@ -312,12 +311,12 @@ fn sweep_point(n: u64, live: impl Fn() -> u64) -> Result<ScalePoint> {
         ingest_pps: ingest_rows as f64 / ingest_secs.max(1e-9),
         query_ops,
         query_qps: query_ops as f64 / wall.max(1e-9),
-        shard_locks: snap.shard_locks,
-        shard_contended: snap.shard_contended,
-        contention_rate: if snap.shard_locks == 0 {
+        shard_locks,
+        shard_contended,
+        contention_rate: if shard_locks == 0 {
             0.0
         } else {
-            snap.shard_contended as f64 / snap.shard_locks as f64
+            shard_contended as f64 / shard_locks as f64
         },
     })
 }

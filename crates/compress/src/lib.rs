@@ -23,7 +23,7 @@
 //! - [`mod@column`]: the policy-driven column codec used by ValueBlobs;
 //! - [`scratch`]: reusable staging buffers for the zero-allocation
 //!   `*_into` entry points;
-//! - [`reference`]: the original byte-at-a-time implementations, kept as
+//! - [`mod@reference`]: the original byte-at-a-time implementations, kept as
 //!   the executable format specification and bench baseline.
 //!
 //! Every codec exposes two API shapes: an `*_into` form that appends into

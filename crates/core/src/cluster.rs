@@ -8,71 +8,17 @@
 
 use crate::server::DataServer;
 use odh_sim::ResourceMeter;
-use odh_storage::{OdhTable, TableConfig};
-use odh_types::{Record, Result, SourceClass, SourceId, Timestamp};
+use odh_storage::TableConfig;
+use odh_types::{Result, SourceClass, SourceId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Global (cluster-wide) statistics per schema type, maintained on ingest
-/// and consulted by the virtual table's cost estimation.
-#[derive(Debug, Default)]
-pub struct TypeStats {
-    pub sources: AtomicU64,
-    pub points: AtomicU64,
-    pub records: AtomicU64,
-    pub min_ts: AtomicI64,
-    pub max_ts: AtomicI64,
-}
-
-impl TypeStats {
-    pub fn new() -> TypeStats {
-        TypeStats {
-            min_ts: AtomicI64::new(i64::MAX),
-            max_ts: AtomicI64::new(i64::MIN),
-            ..Default::default()
-        }
-    }
-
-    pub fn note_record(&self, ts: Timestamp, points: u64) {
-        self.records.fetch_add(1, Ordering::Relaxed);
-        self.points.fetch_add(points, Ordering::Relaxed);
-        self.min_ts.fetch_min(ts.micros(), Ordering::Relaxed);
-        self.max_ts.fetch_max(ts.micros(), Ordering::Relaxed);
-    }
-
-    /// Run counterpart of [`TypeStats::note_record`]: `records` records
-    /// spanning `[min_ts, max_ts]` with `points` non-null values in total.
-    pub fn note_run(&self, min_ts: i64, max_ts: i64, records: u64, points: u64) {
-        self.records.fetch_add(records, Ordering::Relaxed);
-        self.points.fetch_add(points, Ordering::Relaxed);
-        self.min_ts.fetch_min(min_ts, Ordering::Relaxed);
-        self.max_ts.fetch_max(max_ts, Ordering::Relaxed);
-    }
-
-    /// Global time span covered, in microseconds (0 when empty).
-    pub fn span_us(&self) -> i64 {
-        let lo = self.min_ts.load(Ordering::Relaxed);
-        let hi = self.max_ts.load(Ordering::Relaxed);
-        if lo > hi {
-            0
-        } else {
-            hi - lo
-        }
-    }
-}
-
-struct TypeEntry {
-    cfg: TableConfig,
-    stats: Arc<TypeStats>,
-}
 
 /// The server fleet.
 pub struct Cluster {
     servers: Vec<Arc<DataServer>>,
     meter: Arc<ResourceMeter>,
-    types: RwLock<HashMap<String, TypeEntry>>,
+    types: RwLock<HashMap<String, TableConfig>>,
 }
 
 impl Cluster {
@@ -128,43 +74,23 @@ impl Cluster {
     }
 
     /// Create a schema type on every server.
-    pub fn define_schema_type(&self, cfg: TableConfig) -> Result<Arc<TypeStats>> {
+    pub fn define_schema_type(&self, cfg: TableConfig) -> Result<()> {
         for s in &self.servers {
             s.create_table(cfg.clone())?;
         }
-        let stats = Arc::new(TypeStats::new());
-        self.types
-            .write()
-            .insert(cfg.schema.name.to_ascii_lowercase(), TypeEntry { cfg, stats: stats.clone() });
-        Ok(stats)
+        self.adopt_schema_type(cfg);
+        Ok(())
     }
 
     /// Register an already-materialized schema type (recovery path): the
-    /// tables exist on the servers; rebuild the cluster-level entry and
-    /// statistics from their persisted counters.
-    pub fn adopt_schema_type(&self, cfg: TableConfig) -> Result<Arc<TypeStats>> {
-        let name = cfg.schema.name.to_ascii_lowercase();
-        let stats = Arc::new(TypeStats::new());
-        for s in &self.servers {
-            if let Ok(t) = s.table(&name) {
-                let snap = t.stats().snapshot();
-                stats.sources.fetch_add(t.source_count() as u64, Ordering::Relaxed);
-                stats.points.fetch_add(snap.points_ingested, Ordering::Relaxed);
-                stats.records.fetch_add(snap.records_ingested, Ordering::Relaxed);
-                stats.min_ts.fetch_min(snap.min_ts, Ordering::Relaxed);
-                stats.max_ts.fetch_max(snap.max_ts, Ordering::Relaxed);
-            }
-        }
-        self.types.write().insert(name, TypeEntry { cfg, stats: stats.clone() });
-        Ok(stats)
-    }
-
-    pub fn type_stats(&self, schema_type: &str) -> Option<Arc<TypeStats>> {
-        self.types.read().get(&schema_type.to_ascii_lowercase()).map(|e| e.stats.clone())
+    /// tables exist on the servers, and their own counters are the
+    /// type's statistics.
+    pub fn adopt_schema_type(&self, cfg: TableConfig) {
+        self.types.write().insert(cfg.schema.name.to_ascii_lowercase(), cfg);
     }
 
     pub fn type_config(&self, schema_type: &str) -> Option<TableConfig> {
-        self.types.read().get(&schema_type.to_ascii_lowercase()).map(|e| e.cfg.clone())
+        self.types.read().get(&schema_type.to_ascii_lowercase()).cloned()
     }
 
     /// The server owning `source` for `schema_type` (group-preserving).
@@ -182,20 +108,7 @@ impl Cluster {
         source: SourceId,
         class: SourceClass,
     ) -> Result<()> {
-        self.server_for(schema_type, source).table(schema_type)?.register_source(source, class)?;
-        if let Some(stats) = self.type_stats(schema_type) {
-            stats.sources.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Ingest one record (the writer API goes through here).
-    pub fn put(&self, schema_type: &str, table: &OdhTable, record: &Record) -> Result<()> {
-        table.put(record)?;
-        if let Some(stats) = self.type_stats(schema_type) {
-            stats.note_record(record.ts, record.data_points() as u64);
-        }
-        Ok(())
+        self.server_for(schema_type, source).table(schema_type)?.register_source(source, class)
     }
 
     pub fn flush(&self) -> Result<()> {
@@ -253,7 +166,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odh_types::{Duration, SchemaType};
+    use odh_types::SchemaType;
 
     #[test]
     fn group_preserving_routing() {
@@ -271,21 +184,5 @@ mod tests {
             distinct.insert(c.server_for("m", SourceId(g * 100)).id);
         }
         assert_eq!(distinct.len(), 4);
-    }
-
-    #[test]
-    fn stats_track_ingest() {
-        let c = Cluster::in_memory(2, ResourceMeter::unmetered());
-        let stats = c.define_schema_type(TableConfig::new(SchemaType::new("m", ["v"]))).unwrap();
-        c.register_source("m", SourceId(5), SourceClass::regular_low(Duration::from_minutes(15)))
-            .unwrap();
-        let server = c.server_for("m", SourceId(5));
-        let table = server.table("m").unwrap();
-        c.put("m", &table, &Record::dense(SourceId(5), Timestamp::from_secs(900), [1.0])).unwrap();
-        assert_eq!(stats.sources.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.points.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.span_us(), 0);
-        c.put("m", &table, &Record::dense(SourceId(5), Timestamp::from_secs(1800), [2.0])).unwrap();
-        assert_eq!(stats.span_us(), 900 * 1_000_000);
     }
 }

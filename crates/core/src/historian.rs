@@ -210,7 +210,7 @@ impl Historian {
                 .find_map(|s| s.table(name).ok())
                 .map(|t| t.config().clone())
                 .expect("table name came from a server");
-            cluster.adopt_schema_type(cfg)?;
+            cluster.adopt_schema_type(cfg);
             let vtable =
                 VirtualTable::new(cluster.clone(), router.clone(), name, &format!("{name}_v"))?;
             engine.register(vtable);
@@ -223,41 +223,6 @@ impl Historian {
             }
         }
         Ok(Historian::assemble(engine, cluster, router, meter))
-    }
-}
-
-/// Read-path counters for one schema type, summed across every server
-/// holding it — the observability window over the summary-answered and
-/// decoded-batch-cache paths. Take a snapshot before and after a query and
-/// diff: `summary_answered_batches` says how many sealed batches were
-/// answered from seal-time summaries without decoding; `cache_hits` /
-/// `cache_misses` meter the decoded-blob cache; `blob_decodes` counts
-/// actual ValueBlob decompressions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExplainStats {
-    pub summary_answered_batches: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub blob_decodes: u64,
-    /// Cold-tier batches read (always cache-bypassing; see the storage
-    /// crate's compaction module).
-    pub cold_batches_scanned: u64,
-}
-
-impl ExplainStats {
-    /// Counter movement between two snapshots (`later - self`).
-    pub fn delta(&self, later: &ExplainStats) -> ExplainStats {
-        ExplainStats {
-            summary_answered_batches: later
-                .summary_answered_batches
-                .saturating_sub(self.summary_answered_batches),
-            cache_hits: later.cache_hits.saturating_sub(self.cache_hits),
-            cache_misses: later.cache_misses.saturating_sub(self.cache_misses),
-            blob_decodes: later.blob_decodes.saturating_sub(self.blob_decodes),
-            cold_batches_scanned: later
-                .cold_batches_scanned
-                .saturating_sub(self.cold_batches_scanned),
-        }
     }
 }
 
@@ -469,40 +434,11 @@ impl Historian {
         self.meter.registry()
     }
 
-    /// Full metrics exposition: every registry metric plus per-server
-    /// buffer-pool and per-table concurrency counters.
+    /// Full metrics exposition: the registry's rendering. Every counter
+    /// (tables, WAL, buffer pools, ingest stripes) is a registry handle,
+    /// so this is the only view there is.
     pub fn metrics_text(&self) -> String {
-        let mut out = self.meter.registry().render();
-        for s in self.cluster.servers() {
-            let server = s.id.to_string();
-            let io = s.pool().stats().snapshot();
-            for (name, v) in [
-                ("odh_pool_logical_reads_total", io.logical_reads),
-                ("odh_pool_hits_total", io.hits),
-                ("odh_pool_physical_reads_total", io.physical_reads),
-                ("odh_pool_physical_writes_total", io.physical_writes),
-                ("odh_pool_allocations_total", io.allocations),
-                ("odh_pool_evict_fail_all_pinned_total", io.evict_fail_all_pinned),
-                ("odh_pool_evict_fail_hot_total", io.evict_fail_hot),
-                ("odh_pool_evict_fail_no_clean_total", io.evict_fail_no_clean),
-            ] {
-                out.push_str(&format!("{name}{{server=\"{server}\"}} {v}\n"));
-            }
-            for t in s.table_names() {
-                if let Ok(table) = s.table(&t) {
-                    let c = table.concurrency().snapshot();
-                    for (name, v) in [
-                        ("odh_concurrency_shard_locks_total", c.shard_locks),
-                        ("odh_concurrency_shard_contended_total", c.shard_contended),
-                        ("odh_concurrency_parallel_tasks_total", c.parallel_tasks),
-                        ("odh_concurrency_fanout_scans_total", c.fanout_scans),
-                    ] {
-                        out.push_str(&format!("{name}{{server=\"{server}\",table=\"{t}\"}} {v}\n"));
-                    }
-                }
-            }
-        }
-        out
+        self.meter.registry().render()
     }
 
     /// Seal buffers + write back.
@@ -573,24 +509,6 @@ impl Historian {
             let (registry, buffers) = s.memory_footprint();
             out.source_registry_bytes += registry;
             out.open_buffer_bytes += buffers;
-        }
-        out
-    }
-
-    /// Current read-path counters for `schema_type`, summed across the
-    /// servers holding it (see [`ExplainStats`]).
-    pub fn explain_stats(&self, schema_type: &str) -> ExplainStats {
-        let key = schema_type.to_ascii_lowercase();
-        let mut out = ExplainStats::default();
-        for s in self.cluster.servers() {
-            if let Ok(t) = s.table(&key) {
-                let snap = t.stats().snapshot();
-                out.summary_answered_batches += snap.summary_answered_batches.unwrap_or(0);
-                out.cache_hits += snap.cache_hits.unwrap_or(0);
-                out.cache_misses += snap.cache_misses.unwrap_or(0);
-                out.blob_decodes += snap.blob_decodes.unwrap_or(0);
-                out.cold_batches_scanned += snap.cold_batches_scanned.unwrap_or(0);
-            }
         }
         out
     }
@@ -723,33 +641,41 @@ mod tests {
         }
         w.flush().unwrap();
 
-        let before = h.explain_stats("environ_data");
+        // `(summary-answered batches, blob decodes)` so far.
+        let reads = || {
+            let reg = h.registry();
+            (
+                reg.sum_counter("odh_table_summary_answered_batches_total"),
+                reg.sum_counter("odh_table_blob_decodes_total"),
+            )
+        };
+        let before = reads();
         let agg = h
             .sql("select COUNT(*), SUM(temperature), AVG(temperature), MAX(wind) from environ_data_v")
             .unwrap();
-        let d = before.delta(&h.explain_stats("environ_data"));
-        assert!(d.summary_answered_batches > 0, "summaries answered batches: {d:?}");
-        assert_eq!(d.blob_decodes, 0, "whole-table aggregate decodes nothing: {d:?}");
+        let (summarized, decodes) = (reads().0 - before.0, reads().1 - before.1);
+        assert!(summarized > 0, "summaries answered batches: {summarized}");
+        assert_eq!(decodes, 0, "whole-table aggregate decodes nothing");
 
         // A range cutting batch 0 mid-way decodes only its boundary
         // batches (run before anything else warms the decode cache).
-        let before = h.explain_stats("environ_data");
+        let before = reads();
         let cut = h
             .sql(
                 "select COUNT(*), SUM(temperature) from environ_data_v \
                   where timestamp between 8000000 and 79000000",
             )
             .unwrap();
-        let dcut = before.delta(&h.explain_stats("environ_data"));
+        let (summarized, decodes) = (reads().0 - before.0, reads().1 - before.1);
         assert_eq!(cut.rows[0].get(0), &Datum::I64(72 * 6));
         assert_eq!(
             cut.rows[0].get(1).as_f64().unwrap(),
             (8..80).map(|i| 20.0 + i as f64).sum::<f64>() * 6.0
         );
-        assert!(dcut.summary_answered_batches > 0, "{dcut:?}");
+        assert!(summarized > 0);
         assert!(
-            dcut.blob_decodes > 0 && dcut.blob_decodes < dcut.summary_answered_batches,
-            "only boundary batches decode: {dcut:?}"
+            decodes > 0 && decodes < summarized,
+            "only boundary batches decode: {decodes} decodes, {summarized} summarized"
         );
 
         // Equivalence with the row path (temperatures are integer-valued,

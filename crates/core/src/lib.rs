@@ -28,6 +28,6 @@ pub mod vtable;
 pub mod writer;
 
 pub use cluster::Cluster;
-pub use historian::{ExplainStats, Historian, HistorianBuilder, MemoryFootprint};
+pub use historian::{Historian, HistorianBuilder, MemoryFootprint};
 pub use reltable::RelTable;
 pub use writer::{OdhWriter, ParallelWriter};

@@ -95,12 +95,37 @@ impl DataServer {
         frames: usize,
     ) -> DataServer {
         let fresh = disk.num_pages() == 0;
-        let pool = BufferPool::new(disk, frames);
+        let server = Self::assemble(id, meter, BufferPool::new(disk, frames));
         if fresh {
             // Reserve page 0 for the checkpoint superblock.
-            pool.allocate().expect("reserving the superblock page");
+            server.pool.allocate().expect("reserving the superblock page");
         }
+        server
+    }
+
+    /// A server with no tables over `pool`, whose page counters it
+    /// publishes as `odh_pool_*{server="N"}`.
+    fn assemble(id: usize, meter: Arc<ResourceMeter>, pool: Arc<BufferPool>) -> DataServer {
+        pool.stats().register_into(meter.registry(), &[("server", &id.to_string())]);
         DataServer { id, pool, meter, tables: RwLock::new(HashMap::new()), wal: None }
+    }
+
+    /// Start `table`'s background workers, publish its ingest-stripe
+    /// counters as `odh_concurrency_*{server="N",table="name"}` and list
+    /// it under `name`.
+    fn install(
+        &self,
+        tables: &mut HashMap<String, Arc<OdhTable>>,
+        name: String,
+        table: Arc<OdhTable>,
+    ) {
+        table.start_seal_pipeline();
+        table.start_compactor();
+        let server = self.id.to_string();
+        table
+            .concurrency()
+            .register_into(self.meter.registry(), &[("server", &server), ("table", &name)]);
+        tables.insert(name, table);
     }
 
     /// Fresh server with a write-ahead log in the segment directory `log`:
@@ -177,9 +202,9 @@ impl DataServer {
         if disk.num_pages() == 0 {
             return Ok((Self::with_disk(id, meter, disk, frames), 0));
         }
-        let pool = BufferPool::new(disk, frames);
+        let server = Self::assemble(id, meter, BufferPool::new(disk, frames));
         let (magic, version, head, total_len, checkpoint_lsn) =
-            pool.with_page(PageId(0), |buf| {
+            server.pool.with_page(PageId(0), |buf| {
                 (
                     get_u32(buf, 0),
                     get_u32(buf, 4),
@@ -188,7 +213,6 @@ impl DataServer {
                     get_u64(buf, 24),
                 )
             })?;
-        let server = DataServer { id, pool, meter, tables: RwLock::new(HashMap::new()), wal: None };
         if magic != SUPER_MAGIC {
             // Device exists but was never checkpointed: treat as fresh.
             return Ok((server, 0));
@@ -218,9 +242,7 @@ impl DataServer {
             for (name, snap) in &catalog {
                 let table =
                     Arc::new(OdhTable::restore(server.pool.clone(), server.meter.clone(), snap)?);
-                table.start_seal_pipeline();
-                table.start_compactor();
-                g.insert(name.clone(), table);
+                server.install(&mut g, name.clone(), table);
             }
         }
         Ok((server, checkpoint_lsn))
@@ -269,9 +291,7 @@ impl DataServer {
                     }
                     let t = Arc::new(OdhTable::create(self.pool.clone(), self.meter.clone(), cfg)?);
                     t.attach_wal(wal.clone(), *table, false)?;
-                    t.start_seal_pipeline();
-                    t.start_compactor();
-                    g.insert(name, t.clone());
+                    self.install(&mut g, name, t.clone());
                     drop(g);
                     by_id.insert(*table, t);
                 }
@@ -465,9 +485,7 @@ impl DataServer {
             let tid = g.values().filter_map(|t| t.wal_table_id()).max().map_or(0, |m| m + 1);
             table.attach_wal(wal.clone(), tid, true)?;
         }
-        table.start_seal_pipeline();
-        table.start_compactor();
-        g.insert(name, table.clone());
+        self.install(&mut g, name, table.clone());
         Ok(table)
     }
 

@@ -34,6 +34,29 @@ pub struct VirtualTable {
     rel_schema: RelSchema,
     tag_count: usize,
     mg_group_size: u64,
+    /// This type's table on every server holding it, resolved once: the
+    /// cost estimates sum the tables' own counters.
+    tables: Vec<Arc<OdhTable>>,
+}
+
+/// Ingest totals of one schema type, summed over its tables.
+struct Totals {
+    records: u64,
+    sources: u64,
+    blob_bytes: u64,
+    min_ts: i64,
+    max_ts: i64,
+}
+
+impl Totals {
+    /// Time span covered, in microseconds (0 when empty).
+    fn span_us(&self) -> i64 {
+        if self.min_ts > self.max_ts {
+            0
+        } else {
+            self.max_ts - self.min_ts
+        }
+    }
 }
 
 impl VirtualTable {
@@ -51,6 +74,7 @@ impl VirtualTable {
             rel_schema: cfg.schema.virtual_schema(table_name),
             tag_count: cfg.schema.tag_count(),
             mg_group_size: cfg.mg_group_size.max(1),
+            tables: cluster.servers().iter().filter_map(|s| s.table(schema_type).ok()).collect(),
             schema_type: schema_type.to_ascii_lowercase(),
             cluster,
             router,
@@ -244,35 +268,46 @@ impl VirtualTable {
             .collect()
     }
 
-    /// Aggregate storage counters across servers: `(points, records,
-    /// blob_bytes)`.
-    fn storage_counts(&self) -> (f64, f64, f64) {
-        let mut points = 0u64;
-        let mut records = 0u64;
-        let mut blob = 0u64;
-        for s in self.cluster.servers() {
-            if let Ok(t) = s.table(&self.schema_type) {
-                let snap = t.stats().snapshot();
-                points += snap.points_ingested;
-                blob += snap.blob_bytes;
-                records += snap.batches_written;
-            }
+    /// This type's ingest totals, read off its tables' counters.
+    fn totals(&self) -> Totals {
+        use std::sync::atomic::Ordering::Relaxed;
+        let mut out =
+            Totals { records: 0, sources: 0, blob_bytes: 0, min_ts: i64::MAX, max_ts: i64::MIN };
+        for t in &self.tables {
+            let stats = t.stats();
+            out.records += stats.records_ingested.get();
+            out.sources += t.source_count() as u64;
+            out.blob_bytes += stats.blob_bytes.get();
+            out.min_ts = out.min_ts.min(stats.min_ts.load(Relaxed));
+            out.max_ts = out.max_ts.max(stats.max_ts.load(Relaxed));
         }
-        (points as f64, records as f64, blob as f64)
+        out
+    }
+
+    /// Expected rows under `filters`: an `id =` filter keeps one source's
+    /// share, a time range its fraction of the ingested span.
+    fn rows_under(totals: &Totals, filters: &[(usize, ColumnFilter)]) -> f64 {
+        let mut est = totals.records.max(1) as f64;
+        if Self::id_eq(filters).is_some() {
+            est /= totals.sources.max(1) as f64;
+        }
+        let (t1, t2, _) = Self::time_bounds(filters);
+        if t1 > Timestamp::MIN || t2 < Timestamp::MAX {
+            let span = totals.span_us().max(1) as f64;
+            let lo = t1.micros().max(totals.min_ts) as f64;
+            let hi = t2.micros().min(totals.max_ts) as f64;
+            let frac = ((hi - lo) / span).clamp(0.0, 1.0);
+            est *= frac;
+        }
+        est.max(1.0)
     }
 
     /// Average blob bytes per operational record row, per tag.
-    fn bytes_per_row_per_tag(&self) -> f64 {
-        let stats = self.cluster.type_stats(&self.schema_type);
-        let rows = stats
-            .as_ref()
-            .map(|s| s.records.load(std::sync::atomic::Ordering::Relaxed))
-            .unwrap_or(0);
-        let (_, _, blob) = self.storage_counts();
-        if rows == 0 {
+    fn bytes_per_row_per_tag(&self, totals: &Totals) -> f64 {
+        if totals.records == 0 {
             return 8.0 / self.tag_count.max(1) as f64;
         }
-        (blob / rows as f64 / self.tag_count.max(1) as f64).max(0.1)
+        (totals.blob_bytes as f64 / totals.records as f64 / self.tag_count.max(1) as f64).max(0.1)
     }
 }
 
@@ -286,33 +321,16 @@ impl TableProvider for VirtualTable {
     }
 
     fn estimate_rows(&self, filters: &[(usize, ColumnFilter)]) -> f64 {
-        let Some(stats) = self.cluster.type_stats(&self.schema_type) else {
-            return 1.0;
-        };
-        use std::sync::atomic::Ordering::Relaxed;
-        let rows = stats.records.load(Relaxed).max(1) as f64;
-        let sources = stats.sources.load(Relaxed).max(1) as f64;
-        let mut est = rows;
-        if Self::id_eq(filters).is_some() {
-            est /= sources;
-        }
-        let (t1, t2, _) = Self::time_bounds(filters);
-        if t1 > Timestamp::MIN || t2 < Timestamp::MAX {
-            let span = stats.span_us().max(1) as f64;
-            let lo = t1.micros().max(stats.min_ts.load(Relaxed)) as f64;
-            let hi = t2.micros().min(stats.max_ts.load(Relaxed)) as f64;
-            let frac = ((hi - lo) / span).clamp(0.0, 1.0);
-            est *= frac;
-        }
-        est.max(1.0)
+        Self::rows_under(&self.totals(), filters)
     }
 
     fn estimate_cost(&self, req: &ScanRequest) -> f64 {
         // The paper's cost model: expected ValueBlob bytes accessed,
         // narrowed by the tag-oriented projection, plus the router charge.
-        let rows = self.estimate_rows(&req.filters);
+        let totals = self.totals();
+        let rows = Self::rows_under(&totals, &req.filters);
         let tags = self.needed_tags(&req.needed).len().max(1) as f64;
-        ROUTER_COST_BYTES + rows * self.bytes_per_row_per_tag() * tags
+        ROUTER_COST_BYTES + rows * self.bytes_per_row_per_tag(&totals) * tags
     }
 
     fn scan(&self, req: &ScanRequest) -> Result<Vec<Row>> {
@@ -397,11 +415,9 @@ impl TableProvider for VirtualTable {
         if column != 0 {
             return None;
         }
-        let stats = self.cluster.type_stats(&self.schema_type)?;
-        use std::sync::atomic::Ordering::Relaxed;
-        let rows = stats.records.load(Relaxed).max(1) as f64;
-        let sources = stats.sources.load(Relaxed).max(1) as f64;
-        let (_, _, blob_bytes) = self.storage_counts();
+        let totals = self.totals();
+        let rows = totals.records.max(1) as f64;
+        let sources = totals.sources.max(1) as f64;
         // While low-frequency history still lives in MG batches, probing
         // one source means decoding its whole *group* — the per-source
         // amplification Table 1 avoids by preferring RTS/IRTS for
@@ -409,19 +425,18 @@ impl TableProvider for VirtualTable {
         // structures) a probe touches only the source's own blob bytes.
         let mut mg_records = 0u64;
         let mut per_source_records = 0u64;
-        for s in self.cluster.servers() {
-            if let Ok(t) = s.table(&self.schema_type) {
-                let (r, i, m) = t.record_counts();
-                per_source_records += r + i;
-                mg_records += m;
-            }
+        for t in &self.tables {
+            let (r, i, m) = t.record_counts();
+            per_source_records += r + i;
+            mg_records += m;
         }
         let descent = 8192.0;
         if mg_records > per_source_records {
             let groups = (sources / self.mg_group_size as f64).max(1.0);
-            Some(descent + blob_bytes / groups)
+            Some(descent + totals.blob_bytes as f64 / groups)
         } else {
-            Some(descent + rows / sources * self.bytes_per_row_per_tag() * self.tag_count as f64)
+            let per_tag = self.bytes_per_row_per_tag(&totals);
+            Some(descent + rows / sources * per_tag * self.tag_count as f64)
         }
     }
 
@@ -480,16 +495,13 @@ mod tests {
             for id in 0..8u64 {
                 let table =
                     c.server_for("environ_data", SourceId(id)).table("environ_data").unwrap();
-                c.put(
-                    "environ_data",
-                    &table,
-                    &Record::dense(
+                table
+                    .put(&Record::dense(
                         SourceId(id),
                         Timestamp(i * 100_000 + id as i64),
                         [20.0 + i as f64, id as f64],
-                    ),
-                )
-                .unwrap();
+                    ))
+                    .unwrap();
             }
         }
         c.flush().unwrap();
@@ -561,8 +573,7 @@ mod tests {
         // Both servers counted the fan-out; the meter saw one 2-wide region
         // per multi-server scan.
         for s in c.servers() {
-            let snap = s.table("environ_data").unwrap().concurrency().snapshot();
-            assert!(snap.fanout_scans >= 1);
+            assert!(s.table("environ_data").unwrap().concurrency().fanout_scans.get() >= 1);
         }
         let report = c.meter().parallel_report();
         assert!(report.regions >= 1);

@@ -27,8 +27,8 @@ use std::sync::Arc;
 
 /// Non-transactional batched writer for one schema type.
 ///
-/// Routing state (group size, type statistics, table handles, the meter)
-/// is resolved once at creation so the per-record path is a handful of
+/// Routing state (group size, table handles, the meter) is resolved once
+/// at creation so the per-record path is a handful of
 /// arithmetic ops and atomics — no catalog lookups on the hot path.
 pub struct OdhWriter {
     cluster: Arc<Cluster>,
@@ -37,7 +37,6 @@ pub struct OdhWriter {
     meter: Arc<ResourceMeter>,
     /// Per-server table handles, resolved once at writer creation.
     tables: Vec<Arc<OdhTable>>,
-    stats: Option<Arc<crate::cluster::TypeStats>>,
     group_size: u64,
     written: AtomicU64,
 }
@@ -50,7 +49,6 @@ impl OdhWriter {
             cluster.type_config(schema_type).map(|c| c.mg_group_size).unwrap_or(1000).max(1);
         Ok(OdhWriter {
             tables: tables?,
-            stats: cluster.type_stats(schema_type),
             group_size,
             meter: cluster.meter().clone(),
             cluster,
@@ -65,7 +63,7 @@ impl OdhWriter {
     }
 
     /// Register a source on its owning table through the writer's
-    /// pre-resolved handles. Same routing and statistics as
+    /// pre-resolved handles. Same routing as
     /// [`Cluster::register_source`](crate::Cluster::register_source),
     /// minus the per-call catalog lookup — onboarding a million-source
     /// fleet pays the name resolution once, at writer creation.
@@ -74,11 +72,7 @@ impl OdhWriter {
         source: odh_types::SourceId,
         class: odh_types::SourceClass,
     ) -> Result<()> {
-        self.tables[self.table_of(source.0)].register_source(source, class)?;
-        if let Some(stats) = &self.stats {
-            stats.sources.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
+        self.tables[self.table_of(source.0)].register_source(source, class)
     }
 
     /// Ingest one record; drives the virtual clock forward to its
@@ -87,9 +81,6 @@ impl OdhWriter {
     pub fn write(&self, record: &Record) -> Result<()> {
         self.meter.set_now(record.ts.micros());
         self.tables[self.table_of(record.source.0)].put(record)?;
-        if let Some(stats) = &self.stats {
-            stats.note_record(record.ts, record.data_points() as u64);
-        }
         self.written.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -97,7 +88,8 @@ impl OdhWriter {
     /// Ingest a columnar run of same-source records (`cols[tag][row]`)
     /// without materializing `Record`s. Routing, metering, and the
     /// storage-side locks are paid once per run instead of once per row;
-    /// the ingested rows and statistics are identical to a `write` loop.
+    /// the ingested rows and the tables' statistics are identical to a
+    /// `write` loop.
     pub fn write_cols(
         &self,
         source: odh_types::SourceId,
@@ -112,13 +104,6 @@ impl OdhWriter {
         // turn; the net effect is the run's last timestamp.
         self.meter.set_now(ts[n - 1]);
         self.tables[self.table_of(source.0)].put_cols(source, ts, cols)?;
-        if let Some(stats) = &self.stats {
-            let points: u64 =
-                cols.iter().map(|c| c.iter().filter(|v| v.is_some()).count() as u64).sum();
-            let (min_ts, max_ts) =
-                ts.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &t| (lo.min(t), hi.max(t)));
-            stats.note_run(min_ts, max_ts, n as u64, points);
-        }
         self.written.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n as u64)
     }
@@ -293,7 +278,6 @@ mod tests {
             assert_eq!(s.table("env").unwrap().source_count(), 3);
         }
         w.write(&Record::dense(SourceId(7), Timestamp::from_secs(1), [1.0])).unwrap();
-        assert_eq!(c.type_stats("env").unwrap().sources.load(Ordering::Relaxed), 9);
     }
 
     #[test]

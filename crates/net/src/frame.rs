@@ -302,7 +302,7 @@ struct RunAcc {
 }
 
 /// Per-session reusable state for [`BatchView::for_each_run`]: the
-/// per-tag value cursors, a pool of per-source [`RunAcc`] accumulators,
+/// per-tag value cursors, a pool of per-source `RunAcc` accumulators,
 /// and the source → accumulator index for the frame in flight. `clear()`
 /// on the map and vectors retains capacity, so after the first few
 /// frames warm the pool the run pivot allocates nothing.

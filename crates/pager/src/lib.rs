@@ -5,7 +5,9 @@
 //!
 //! - [`page`]: the 8 KiB page unit and little-endian field accessors;
 //! - [`disk`]: the [`disk::DiskManager`] trait with in-memory and file
-//!   backends, plus atomic [`stats::IoStats`];
+//!   backends;
+//! - [`stats`]: [`stats::IoStats`] and [`stats::ConcurrencyStats`], bundles
+//!   of `odh-obs` counter handles their owner publishes into its registry;
 //! - [`pool`]: a buffer pool with clock (second-chance) eviction, pin
 //!   counts, and write-back of dirty pages;
 //! - [`heap`]: slotted heap pages and append-oriented heap files, with

@@ -1,6 +1,12 @@
-//! Atomic I/O and concurrency counters.
+//! I/O and concurrency counters, as bundles of registry handles.
+//!
+//! Each counter is an [`odh_obs::Counter`] handle, so the owner (a data
+//! server) publishes the very atomics the pool and the ingest stripes
+//! increment into its metrics registry with `register_into`: one count
+//! per event, read through the handle or the registry, never copied.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use odh_obs::{Counter, Registry};
+use std::sync::Arc;
 
 /// Counters for lock striping and parallel execution, shared by the
 /// sharded ingest buffers and the cluster fan-out paths. All counters are
@@ -9,157 +15,92 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub struct ConcurrencyStats {
     /// Shard mutex acquisitions on the ingest path.
-    pub shard_locks: AtomicU64,
+    pub shard_locks: Arc<Counter>,
     /// Acquisitions that found the shard already locked (`try_lock`
     /// failed and the caller had to block).
-    pub shard_contended: AtomicU64,
+    pub shard_contended: Arc<Counter>,
     /// Tasks executed on worker threads (batch-ingest slices, per-server
     /// scan fan-outs).
-    pub parallel_tasks: AtomicU64,
+    pub parallel_tasks: Arc<Counter>,
     /// Multi-server scans that actually fanned out to >1 server.
-    pub fanout_scans: AtomicU64,
-}
-
-/// A point-in-time copy of [`ConcurrencyStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ConcurrencySnapshot {
-    pub shard_locks: u64,
-    pub shard_contended: u64,
-    pub parallel_tasks: u64,
-    pub fanout_scans: u64,
+    pub fanout_scans: Arc<Counter>,
 }
 
 impl ConcurrencyStats {
-    pub fn snapshot(&self) -> ConcurrencySnapshot {
-        ConcurrencySnapshot {
-            shard_locks: self.shard_locks.load(Ordering::Relaxed),
-            shard_contended: self.shard_contended.load(Ordering::Relaxed),
-            parallel_tasks: self.parallel_tasks.load(Ordering::Relaxed),
-            fanout_scans: self.fanout_scans.load(Ordering::Relaxed),
-        }
-    }
-
     /// Record one shard-lock acquisition; `contended` marks that the
     /// fast-path `try_lock` failed.
     #[inline]
     pub fn note_shard_lock(&self, contended: bool) {
-        self.shard_locks.fetch_add(1, Ordering::Relaxed);
+        self.shard_locks.inc();
         if contended {
-            self.shard_contended.fetch_add(1, Ordering::Relaxed);
+            self.shard_contended.inc();
         }
     }
 
     /// Record `n` tasks handed to worker threads.
     #[inline]
     pub fn note_parallel_tasks(&self, n: u64) {
-        self.parallel_tasks.fetch_add(n, Ordering::Relaxed);
+        self.parallel_tasks.add(n);
     }
 
     /// Record a scan that fanned out to more than one server.
     #[inline]
     pub fn note_fanout_scan(&self) {
-        self.fanout_scans.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl ConcurrencySnapshot {
-    /// Difference since an earlier snapshot.
-    pub fn since(&self, earlier: &ConcurrencySnapshot) -> ConcurrencySnapshot {
-        ConcurrencySnapshot {
-            shard_locks: self.shard_locks - earlier.shard_locks,
-            shard_contended: self.shard_contended - earlier.shard_contended,
-            parallel_tasks: self.parallel_tasks - earlier.parallel_tasks,
-            fanout_scans: self.fanout_scans - earlier.fanout_scans,
-        }
+        self.fanout_scans.inc();
     }
 
-    /// Fraction of shard-lock acquisitions that had to block.
-    pub fn contention_rate(&self) -> f64 {
-        if self.shard_locks == 0 {
-            return 0.0;
+    /// Publish every counter into `registry` under `odh_concurrency_*`.
+    pub fn register_into(&self, registry: &Registry, labels: &[(&str, &str)]) {
+        for (name, counter) in [
+            ("odh_concurrency_shard_locks_total", &self.shard_locks),
+            ("odh_concurrency_shard_contended_total", &self.shard_contended),
+            ("odh_concurrency_parallel_tasks_total", &self.parallel_tasks),
+            ("odh_concurrency_fanout_scans_total", &self.fanout_scans),
+        ] {
+            registry.adopt_counter(name, labels, counter);
         }
-        self.shard_contended as f64 / self.shard_locks as f64
     }
 }
 
 /// Counters for logical (buffer-pool) and physical (disk) page traffic.
-/// All counters are monotone; snapshots are obtained with [`IoStats::snapshot`].
+/// All counters are monotone.
 #[derive(Debug, Default)]
 pub struct IoStats {
     /// Buffer-pool fetches (logical reads).
-    pub logical_reads: AtomicU64,
+    pub logical_reads: Arc<Counter>,
     /// Fetches satisfied without disk I/O.
-    pub hits: AtomicU64,
+    pub hits: Arc<Counter>,
     /// Pages read from the disk manager.
-    pub physical_reads: AtomicU64,
+    pub physical_reads: Arc<Counter>,
     /// Pages written to the disk manager.
-    pub physical_writes: AtomicU64,
+    pub physical_writes: Arc<Counter>,
     /// Pages allocated.
-    pub allocations: AtomicU64,
+    pub allocations: Arc<Counter>,
     /// Eviction failures: every frame in the shard was pinned.
-    pub evict_fail_all_pinned: AtomicU64,
+    pub evict_fail_all_pinned: Arc<Counter>,
     /// Eviction failures: unpinned frames stayed referenced-hot across
     /// two clock laps.
-    pub evict_fail_hot: AtomicU64,
+    pub evict_fail_hot: Arc<Counter>,
     /// Eviction failures: no clean frame under no-steal (checkpoint
     /// needed).
-    pub evict_fail_no_clean: AtomicU64,
-}
-
-/// A point-in-time copy of [`IoStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoSnapshot {
-    pub logical_reads: u64,
-    pub hits: u64,
-    pub physical_reads: u64,
-    pub physical_writes: u64,
-    pub allocations: u64,
-    pub evict_fail_all_pinned: u64,
-    pub evict_fail_hot: u64,
-    pub evict_fail_no_clean: u64,
+    pub evict_fail_no_clean: Arc<Counter>,
 }
 
 impl IoStats {
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            logical_reads: self.logical_reads.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            physical_reads: self.physical_reads.load(Ordering::Relaxed),
-            physical_writes: self.physical_writes.load(Ordering::Relaxed),
-            allocations: self.allocations.load(Ordering::Relaxed),
-            evict_fail_all_pinned: self.evict_fail_all_pinned.load(Ordering::Relaxed),
-            evict_fail_hot: self.evict_fail_hot.load(Ordering::Relaxed),
-            evict_fail_no_clean: self.evict_fail_no_clean.load(Ordering::Relaxed),
+    /// Publish every counter into `registry` under `odh_pool_*`.
+    pub fn register_into(&self, registry: &Registry, labels: &[(&str, &str)]) {
+        for (name, counter) in [
+            ("odh_pool_logical_reads_total", &self.logical_reads),
+            ("odh_pool_hits_total", &self.hits),
+            ("odh_pool_physical_reads_total", &self.physical_reads),
+            ("odh_pool_physical_writes_total", &self.physical_writes),
+            ("odh_pool_allocations_total", &self.allocations),
+            ("odh_pool_evict_fail_all_pinned_total", &self.evict_fail_all_pinned),
+            ("odh_pool_evict_fail_hot_total", &self.evict_fail_hot),
+            ("odh_pool_evict_fail_no_clean_total", &self.evict_fail_no_clean),
+        ] {
+            registry.adopt_counter(name, labels, counter);
         }
-    }
-
-    #[inline]
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl IoSnapshot {
-    /// Difference since an earlier snapshot.
-    pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            logical_reads: self.logical_reads - earlier.logical_reads,
-            hits: self.hits - earlier.hits,
-            physical_reads: self.physical_reads - earlier.physical_reads,
-            physical_writes: self.physical_writes - earlier.physical_writes,
-            allocations: self.allocations - earlier.allocations,
-            evict_fail_all_pinned: self.evict_fail_all_pinned - earlier.evict_fail_all_pinned,
-            evict_fail_hot: self.evict_fail_hot - earlier.evict_fail_hot,
-            evict_fail_no_clean: self.evict_fail_no_clean - earlier.evict_fail_no_clean,
-        }
-    }
-
-    /// Fraction of logical reads served from the pool.
-    pub fn hit_rate(&self) -> f64 {
-        if self.logical_reads == 0 {
-            return 1.0;
-        }
-        self.hits as f64 / self.logical_reads as f64
     }
 }
 
@@ -168,40 +109,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_and_delta() {
-        let s = IoStats::default();
-        IoStats::bump(&s.logical_reads);
-        IoStats::bump(&s.logical_reads);
-        IoStats::bump(&s.hits);
-        let a = s.snapshot();
-        IoStats::bump(&s.physical_writes);
-        let b = s.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.physical_writes, 1);
-        assert_eq!(d.logical_reads, 0);
-        assert_eq!(a.hit_rate(), 0.5);
+    fn register_into_shares_the_live_counters() {
+        let reg = Registry::new();
+        let io = IoStats::default();
+        io.register_into(&reg, &[("server", "0")]);
+        io.logical_reads.inc();
+        io.hits.add(2);
+        assert_eq!(reg.counter_value("odh_pool_logical_reads_total", &[("server", "0")]), Some(1));
+        assert_eq!(reg.counter_value("odh_pool_hits_total", &[("server", "0")]), Some(2));
     }
 
     #[test]
-    fn empty_hit_rate_is_one() {
-        assert_eq!(IoSnapshot::default().hit_rate(), 1.0);
-    }
-
-    #[test]
-    fn contention_rate_tracks_blocked_acquisitions() {
+    fn shard_locks_count_blocked_acquisitions() {
+        let reg = Registry::new();
         let c = ConcurrencyStats::default();
-        assert_eq!(c.snapshot().contention_rate(), 0.0);
+        let labels: &[(&str, &str)] = &[("server", "1"), ("table", "t")];
+        c.register_into(&reg, labels);
         c.note_shard_lock(false);
         c.note_shard_lock(true);
         c.note_shard_lock(false);
-        c.note_shard_lock(false);
-        let snap = c.snapshot();
-        assert_eq!(snap.shard_locks, 4);
-        assert_eq!(snap.shard_contended, 1);
-        assert_eq!(snap.contention_rate(), 0.25);
-        c.parallel_tasks.fetch_add(3, Ordering::Relaxed);
-        let d = c.snapshot().since(&snap);
-        assert_eq!(d.shard_locks, 0);
-        assert_eq!(d.parallel_tasks, 3);
+        c.note_parallel_tasks(3);
+        assert_eq!(reg.counter_value("odh_concurrency_shard_locks_total", labels), Some(3));
+        assert_eq!(reg.counter_value("odh_concurrency_shard_contended_total", labels), Some(1));
+        assert_eq!(reg.counter_value("odh_concurrency_parallel_tasks_total", labels), Some(3));
+        assert_eq!(reg.counter_value("odh_concurrency_fanout_scans_total", labels), Some(0));
     }
 }

@@ -24,4 +24,4 @@ pub mod meter;
 pub use cost::CostConstants;
 pub use cpu::{CpuModel, CpuReport};
 pub use disk::{DiskModel, DiskReport};
-pub use meter::{ParallelReport, ResourceMeter, WalReport};
+pub use meter::{ParallelReport, ResourceMeter};

@@ -36,20 +36,6 @@ pub struct ResourceMeter {
     parallel_tasks: Arc<Counter>,
     /// Widest single region observed (degree of parallelism actually used).
     max_parallel_width: Arc<Gauge>,
-    /// Bytes appended to the write-ahead log (group commits).
-    wal_bytes: Arc<Counter>,
-    /// WAL group commits issued.
-    wal_writes: Arc<Counter>,
-    /// WAL fsyncs (durability acknowledgements).
-    wal_syncs: Arc<Counter>,
-}
-
-/// Point-in-time copy of the meter's WAL counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WalReport {
-    pub bytes: u64,
-    pub writes: u64,
-    pub syncs: u64,
 }
 
 /// Point-in-time copy of the meter's parallelism counters.
@@ -74,9 +60,6 @@ impl ResourceMeter {
             parallel_regions: registry.counter("odh_meter_parallel_regions_total", &[]),
             parallel_tasks: registry.counter("odh_meter_parallel_tasks_total", &[]),
             max_parallel_width: registry.gauge("odh_meter_max_parallel_width", &[]),
-            wal_bytes: registry.counter("odh_meter_wal_bytes_total", &[]),
-            wal_writes: registry.counter("odh_meter_wal_writes_total", &[]),
-            wal_syncs: registry.counter("odh_meter_wal_syncs_total", &[]),
             registry,
         })
     }
@@ -134,27 +117,16 @@ impl ResourceMeter {
 
     /// Charge one WAL group commit: an append-only write, which the disk
     /// model prices as sequential I/O (the log is the one component laid
-    /// out for pure appends). Counted even when metering is disabled so
-    /// wall-clock benches can report WAL traffic.
+    /// out for pure appends). The WAL counts its own traffic in the
+    /// registry (`odh_wal_*`).
     pub fn wal_write(&self, bytes: usize) {
-        self.wal_bytes.add(bytes as u64);
-        self.wal_writes.inc();
         self.disk_sequential(bytes);
     }
 
     /// Charge one WAL fsync (the commit barrier): one device round-trip
     /// with no payload, so one seek-priced random I/O of zero bytes.
     pub fn wal_sync(&self) {
-        self.wal_syncs.inc();
         self.disk_random(0);
-    }
-
-    pub fn wal_report(&self) -> WalReport {
-        WalReport {
-            bytes: self.wal_bytes.get(),
-            writes: self.wal_writes.get(),
-            syncs: self.wal_syncs.get(),
-        }
     }
 
     /// Record entry into a parallel region of `width` concurrent tasks.
@@ -215,15 +187,11 @@ mod tests {
         m.wal_write(8192);
         m.wal_write(8192);
         m.wal_sync();
-        let w = m.wal_report();
-        assert_eq!((w.bytes, w.writes, w.syncs), (16384, 2, 1));
         let d = m.disk_report();
         assert_eq!(d.ops, 3);
         assert_eq!(d.seq_ops, 2, "group commits must be priced sequentially");
-        // Counters survive an unmetered meter; disk charges do not.
         let u = ResourceMeter::unmetered();
         u.wal_write(100);
-        assert_eq!(u.wal_report().writes, 1);
         assert_eq!(u.disk_report().ops, 0);
     }
 

@@ -30,7 +30,7 @@
 //! that implement [`provider::TableProvider::scan_columnar`] hand the
 //! executor [`column::ColumnBatch`]es — decoded rows, or seal-time
 //! summaries where the plan allows — and the residual WHERE clause runs
-//! as selection-vector kernels (see [`column`]).
+//! as selection-vector kernels (see [`mod@column`]).
 
 pub mod ast;
 pub mod catalog;

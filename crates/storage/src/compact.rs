@@ -35,7 +35,7 @@
 //!   batch, and build a replacement for each generation the pass changes,
 //!   remembering the rids consumed. Concurrent seals keep landing in the
 //!   *live* generations (their inserts run under the generation read lock).
-//! * **Phase B** (one [`crate::table::SealSync`] ticket, then the write
+//! * **Phase B** (one `crate::table::SealSync` ticket, then the write
 //!   locks): first every fallible step — copy each changed generation's
 //!   latecomers (rids present now but not consumed in phase A; MG
 //!   included) raw into its replacement — then the swaps, plain

@@ -48,4 +48,4 @@ pub use select::Structure;
 pub use snapshot::{TableConfigSnapshot, TableSnapshot};
 pub use stats::StorageStats;
 pub use table::{BatchSummary, ColumnarChunk, OdhTable, ScanPoint, TableConfig, TimeGrain};
-pub use wal::{Wal, WalEntry, WalFrame, WalRecovery, WalStats};
+pub use wal::{Wal, WalEntry, WalFrame, WalRecovery};

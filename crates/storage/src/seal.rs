@@ -5,25 +5,25 @@
 //! **Visibility contract.** Rows live in exactly one of three places at
 //! every stable seal epoch — an open ingest buffer, this pipeline's
 //! `pending` map, or a container. The hand-off *into* `pending`
-//! ([`SealPipeline::try_enqueue`]) happens under the ingest path's seal
+//! (`SealPipeline::try_enqueue`) happens under the ingest path's seal
 //! ticket; the hand-off *out* (container insert +
-//! [`SealPipeline::remove_pending`]) happens under the worker's ticket.
-//! Readers merge [`SealPipeline::pending_snapshot`] exactly like an open
+//! `SealPipeline::remove_pending`) happens under the worker's ticket.
+//! Readers merge `SealPipeline::pending_snapshot` exactly like an open
 //! buffer, so acknowledged rows stay queryable while queued (the paper's
 //! dirty-read isolation, §3).
 //!
 //! **Backpressure.** The queue is bounded at `depth_limit` jobs; when it
-//! is full, [`SealPipeline::try_enqueue`] refuses and the ingesting
+//! is full, `SealPipeline::try_enqueue` refuses and the ingesting
 //! thread seals inline. Memory stays bounded, and a stalled worker pool
 //! degrades to the pre-pipeline behaviour instead of buffering without
 //! limit.
 //!
 //! **Durability.** A queued job still counts toward
-//! [`SealPipeline::min_first_lsn`], so checkpoints never truncate the WAL
+//! `SealPipeline::min_first_lsn`, so checkpoints never truncate the WAL
 //! past acknowledged-but-unsealed rows; a crash with jobs in flight
 //! replays them from the log. A worker error leaves its job in `pending`
 //! (still readable, still WAL-covered) and surfaces at the next
-//! [`SealPipeline::drain`].
+//! `SealPipeline::drain`.
 
 use crate::table::SourceMeta;
 use odh_types::{GroupId, OdhError, Result, SourceId};

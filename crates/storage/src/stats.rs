@@ -199,7 +199,7 @@ impl StorageStats {
 
     /// Record a run of `records` accepted records spanning
     /// `[min_ts_us, max_ts_us]` with `points` non-null values in total —
-    /// one atomic round for what [`TableStats::note_put`] would count
+    /// one atomic round for what [`StorageStats::note_put`] would count
     /// row by row.
     pub fn note_put_run(&self, min_ts_us: i64, max_ts_us: i64, records: u64, points: u64) {
         self.points_ingested.add(points);

@@ -2440,7 +2440,7 @@ impl OdhTable {
     /// per source with the open and side buffer shards locked first (the
     /// ingest lock order), so a row buffered after the candidate scan
     /// keeps its source alive. A put racing the removal itself is safe:
-    /// the drained buffer falls back to [`OdhTable::drained_meta`], and
+    /// the drained buffer falls back to `OdhTable::drained_meta`, and
     /// WAL replay re-adopts the source from its registration frame.
     pub fn prune_expired_sources(&self) -> u64 {
         let Some(floor) = self.retention_floor() else { return 0 };

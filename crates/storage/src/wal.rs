@@ -124,15 +124,6 @@ pub struct WalRecovery {
     pub warning: Option<String>,
 }
 
-/// Aggregate WAL counters (for benches and the resource model).
-#[derive(Debug, Clone, Copy, Default, serde::Serialize)]
-pub struct WalStats {
-    pub appends: u64,
-    pub bytes_appended: u64,
-    pub group_commits: u64,
-    pub syncs: u64,
-}
-
 /// One staging stripe: the encode buffer plus its append counters. The
 /// counters live under the stripe lock (already held on every append)
 /// instead of shared atomics, so hot-path appends touch no cross-stripe
@@ -152,9 +143,9 @@ struct Stripe {
 }
 
 /// Registry handles of one WAL. Counters are cluster-wide (every server
-/// of a cluster shares one meter, hence one registry); they are settled
-/// at group-commit/sync boundaries, so after any [`Wal::sync`] the
-/// registry agrees exactly with [`Wal::stats`].
+/// of a cluster shares one meter, hence one registry). Appends and bytes
+/// are settled from the stripes at group-commit boundaries, so after any
+/// [`Wal::sync`] they count every frame appended before it.
 struct WalObs {
     registry: Arc<odh_obs::Registry>,
     appends: Arc<odh_obs::Counter>,
@@ -223,8 +214,6 @@ pub struct Wal {
     durable_lsn: AtomicU64,
     stripes: Vec<Mutex<Stripe>>,
     group_commit_bytes: usize,
-    group_commits: AtomicU64,
-    syncs: AtomicU64,
     obs: WalObs,
 }
 
@@ -314,8 +303,6 @@ impl Wal {
             durable_lsn: AtomicU64::new(durable),
             stripes: (0..WAL_STRIPES).map(|_| Mutex::new(Stripe::default())).collect(),
             group_commit_bytes: GROUP_COMMIT_BYTES,
-            group_commits: AtomicU64::new(0),
-            syncs: AtomicU64::new(0),
             obs,
         }
     }
@@ -510,7 +497,6 @@ impl Wal {
         if s.buf.is_empty() {
             return Ok(());
         }
-        self.group_commits.fetch_add(1, Ordering::Relaxed);
         self.obs.group_commits.inc();
         self.obs.appends.add(s.appends - s.settled_appends);
         self.obs.bytes.add(s.bytes_appended - s.settled_bytes);
@@ -556,7 +542,6 @@ impl Wal {
             let _span = self.obs.registry.span("wal_fsync", &self.obs.fsync_hist);
             active.sync()?;
         }
-        self.syncs.fetch_add(1, Ordering::Relaxed);
         self.obs.syncs.inc();
         self.meter.wal_sync();
         self.durable_lsn.fetch_max(target, Ordering::AcqRel);
@@ -613,21 +598,6 @@ impl Wal {
     pub fn log_bytes(&self) -> u64 {
         let segs = self.segments.lock();
         segs.closed.iter().map(|s| s.log.len()).sum::<u64>() + segs.active.log.len()
-    }
-
-    pub fn stats(&self) -> WalStats {
-        let (mut appends, mut bytes) = (0u64, 0u64);
-        for s in &self.stripes {
-            let s = s.lock();
-            appends += s.appends;
-            bytes += s.bytes_appended;
-        }
-        WalStats {
-            appends,
-            bytes_appended: bytes,
-            group_commits: self.group_commits.load(Ordering::Relaxed),
-            syncs: self.syncs.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -913,11 +883,13 @@ mod tests {
         // Nothing flushed yet (well under the threshold), one commit on sync.
         assert_eq!(dir.total_len(), 0);
         wal.sync().unwrap();
-        let s = wal.stats();
-        assert_eq!(s.appends, 100);
-        assert_eq!(s.group_commits, 1);
-        assert_eq!(dir.total_len(), s.bytes_appended);
-        assert_eq!(wal.log_bytes(), s.bytes_appended);
+        let reg = wal.meter.registry();
+        let counter = |name| reg.counter_value(name, &[]).unwrap();
+        assert_eq!(counter("odh_wal_appends_total"), 100);
+        assert_eq!(counter("odh_wal_group_commits_total"), 1);
+        assert_eq!(counter("odh_wal_syncs_total"), 1);
+        assert_eq!(dir.total_len(), counter("odh_wal_bytes_total"));
+        assert_eq!(wal.log_bytes(), counter("odh_wal_bytes_total"));
     }
 
     #[test]

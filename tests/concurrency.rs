@@ -216,7 +216,7 @@ fn parallel_scan_order_matches_serial_merge() {
 
     // The fan-out was counted on every involved server and on the meter.
     for s in c.servers() {
-        assert!(s.table("t").unwrap().concurrency().snapshot().fanout_scans >= 1);
+        assert!(s.table("t").unwrap().concurrency().fanout_scans.get() >= 1);
     }
     assert!(c.meter().parallel_report().regions >= 1);
 }

@@ -95,6 +95,20 @@ fn exposition_names_match_committed_catalog() {
 }
 
 #[test]
+fn the_exposition_is_the_registry() {
+    // One source: every counter is a registry handle, so the exposition
+    // is the registry's rendering, and the names it shows are exactly the
+    // names the registry holds.
+    let h = full_workload();
+    // Drain the seal queue so no background seal moves a counter
+    // between the two renders.
+    h.flush().unwrap();
+    let text = h.metrics_text();
+    assert_eq!(text, h.registry().render());
+    assert_eq!(names_of(&text), h.registry().names());
+}
+
+#[test]
 fn catalog_is_stable_across_a_second_historian() {
     // Metric registration is construction-time, not workload-dependent:
     // a second historian with the same shape emits the same names even

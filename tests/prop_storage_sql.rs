@@ -732,6 +732,73 @@ proptest! {
         }
     }
 
+    /// Indexes created on relational tables that already hold rows: index
+    /// scans (equality and range) and index joins into the virtual table
+    /// return, as multisets, what the same queries return over a twin
+    /// table that has no index and so can only scan its heap.
+    #[test]
+    fn indexes_created_after_loading_match_heap_scans(
+        stream in prop::collection::vec((0u64..4, 0i64..40, -50.0f64..50.0), 1..60),
+        accounts in prop::collection::vec(
+            (prop::option::of(0i64..6), 0i64..3, -50.0f64..50.0),
+            1..16,
+        ),
+        probe in (0i64..3, -50.0f64..50.0, 1960i64..1963),
+    ) {
+        use odh_types::DataType::{F64, I64};
+        let h = Historian::builder().servers(2).build().unwrap();
+        h.define_schema_type(TableConfig::new(SchemaType::new("p", ["v"])).with_batch_size(8))
+            .unwrap();
+        for id in 0..4u64 {
+            h.register_source("p", SourceId(id), SourceClass::irregular_high()).unwrap();
+        }
+        let w = h.writer("p").unwrap();
+        for &(id, t, v) in &stream {
+            w.write(&Record::dense(SourceId(id), Timestamp(t * 1_000), [v])).unwrap();
+        }
+        h.flush().unwrap();
+        // `acct` gets its indexes after loading; `heap` never gets any.
+        let schema =
+            |name: &str| RelSchema::new(name, [("a_id", I64), ("a_cust", I64), ("a_lat", F64)]);
+        let acct = h.create_relational_table(schema("acct"));
+        let heap = h.create_relational_table(schema("heap"));
+        for &(id, cust, lat) in &accounts {
+            let id = id.map_or(Datum::Null, Datum::I64);
+            let row = Row::new(vec![id, Datum::I64(cust), Datum::F64(lat)]);
+            acct.insert(&row).unwrap();
+            heap.insert(&row).unwrap();
+        }
+        acct.create_index("acct_id", "a_id").unwrap();
+        acct.create_index("acct_cust", "a_cust").unwrap();
+        acct.create_index("acct_lat", "a_lat").unwrap();
+        let cust = h.create_relational_table(RelSchema::new("cust", [("c_id", I64), ("c_year", I64)]));
+        for c in 0..3i64 {
+            cust.insert(&Row::new(vec![Datum::I64(c), Datum::I64(1960 + c)])).unwrap();
+        }
+        let sorted = |mut rows: Vec<Row>| -> Vec<String> {
+            rows.sort_by_key(|r| format!("{r:?}"));
+            rows.into_iter().map(|r| format!("{r:?}")).collect()
+        };
+        let (c, lat, year) = probe;
+        for q in [
+            format!("select a_id, a_lat from {{t}} where a_cust = {c}"),
+            format!("select a_id, a_cust from {{t}} where a_lat > {lat}"),
+            format!(
+                "select x.id, timestamp, v, a_lat from p_v x, {{t}} a \
+                 where a.a_id = x.id and a.a_cust = {c}"
+            ),
+            format!(
+                "select a_cust, timestamp, x.id, v from p_v x, {{t}} a, cust c \
+                 where a.a_id = x.id and a.a_cust = c.c_id and c_year >= {year}"
+            ),
+        ] {
+            let (indexed, scanned) = (q.replace("{t}", "acct"), q.replace("{t}", "heap"));
+            let got = h.sql(&indexed).unwrap().rows;
+            let want = h.sql(&scanned).unwrap().rows;
+            prop_assert_eq!(sorted(got), sorted(want), "{}", indexed);
+        }
+    }
+
     /// Tentpole equivalence: every aggregate/group-by/bucket/gap-fill query
     /// must return the same rows whether it runs through the vectorized
     /// columnar path or the row-at-a-time fallback — including NULL-dense
