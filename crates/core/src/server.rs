@@ -270,10 +270,7 @@ impl DataServer {
         }
         for frame in frames {
             if frame.lsn <= checkpoint_lsn {
-                if matches!(
-                    frame.entry,
-                    WalEntry::Point { .. } | WalEntry::LatePoint { .. } | WalEntry::Delete { .. }
-                ) {
+                if matches!(frame.entry, WalEntry::Point { .. } | WalEntry::Delete { .. }) {
                     obs.skipped.inc();
                 }
                 continue;
@@ -303,8 +300,8 @@ impl DataServer {
                         self.id
                     ),
                 },
-                WalEntry::Point { table, record } => match by_id.get(table) {
-                    Some(t) => match t.replay_put(record, frame.lsn) {
+                WalEntry::Point { table, record, late } => match by_id.get(table) {
+                    Some(t) => match t.replay(record, frame.lsn, *late) {
                         Ok(true) => obs.replayed.inc(),
                         Ok(false) => obs.skipped.inc(),
                         Err(e) if e.kind() == "not_found" => {
@@ -322,29 +319,6 @@ impl DataServer {
                         eprintln!(
                             "server {}: WAL replay skipped point for unknown table {table} (never \
                              acknowledged)",
-                            self.id
-                        )
-                    }
-                },
-                WalEntry::LatePoint { table, record } => match by_id.get(table) {
-                    Some(t) => match t.replay_put_late(record, frame.lsn) {
-                        Ok(true) => obs.replayed.inc(),
-                        Ok(false) => obs.skipped.inc(),
-                        Err(e) if e.kind() == "not_found" => {
-                            obs.skipped.inc();
-                            eprintln!(
-                                "server {}: WAL replay skipped late point at LSN {} ({e}; never \
-                                 acknowledged)",
-                                self.id, frame.lsn
-                            )
-                        }
-                        Err(e) => return Err(e),
-                    },
-                    None => {
-                        obs.skipped.inc();
-                        eprintln!(
-                            "server {}: WAL replay skipped late point for unknown table {table} \
-                             (never acknowledged)",
                             self.id
                         )
                     }

@@ -19,7 +19,43 @@
 //! before the first non-NULL are backfilled as NULLs at allocation time,
 //! so every allocated column stays row-aligned with `ts`.
 
+use crate::seal::{JobKind, PendingSeal};
 use odh_types::SourceId;
+
+/// Column-major rows of one source's run, `col(tag)[row]`: a columnar
+/// run's columns, or one record's values served as one-row columns
+/// without copying them.
+#[derive(Debug, Clone, Copy)]
+pub enum Cols<'a> {
+    Run(&'a [Vec<Option<f64>>]),
+    Row(&'a [Option<f64>]),
+}
+
+impl<'a> Cols<'a> {
+    /// Number of tags.
+    pub fn len(&self) -> usize {
+        match self {
+            Cols::Run(cols) => cols.len(),
+            Cols::Row(values) => values.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    #[inline]
+    pub fn col(&self, tag: usize) -> &'a [Option<f64>] {
+        match *self {
+            Cols::Run(cols) => &cols[tag],
+            Cols::Row(values) => std::slice::from_ref(&values[tag]),
+        }
+    }
+
+    pub fn iter(self) -> impl Iterator<Item = &'a [Option<f64>]> {
+        (0..self.len()).map(move |tag| self.col(tag))
+    }
+}
 
 /// One tag's buffered values: dense floats plus a validity bitmap (bit
 /// `row % 64` of word `row / 64` set ⇔ the row holds a value; NULL rows
@@ -69,20 +105,6 @@ impl TagCol {
     fn heap_bytes(&self) -> usize {
         self.values.capacity() * std::mem::size_of::<f64>()
             + self.valid.capacity() * std::mem::size_of::<u64>()
-    }
-}
-
-/// Push one row's value into a lazily-allocated column slot at `row`.
-#[inline]
-fn push_value(slot: &mut Option<TagCol>, row: usize, v: Option<f64>) {
-    match (slot.as_mut(), v) {
-        (Some(col), v) => col.push(v),
-        (None, Some(_)) => {
-            let col = slot.insert(TagCol::backfilled(row));
-            col.push(v);
-        }
-        // All-NULL so far: the column stays unallocated.
-        (None, None) => {}
     }
 }
 
@@ -148,27 +170,12 @@ impl SourceBuffer {
         }
     }
 
-    pub fn push(&mut self, ts: i64, values: &[Option<f64>], lsn: u64) {
-        debug_assert_eq!(values.len(), self.cols.len());
-        if self.ts.is_empty() {
-            self.first_lsn = lsn;
-        }
-        self.last_lsn = lsn;
-        let row = self.ts.len();
-        self.ts.push(ts);
-        for (slot, v) in self.cols.iter_mut().zip(values) {
-            push_value(slot, row, *v);
-        }
-    }
-
-    /// Columnar counterpart of [`SourceBuffer::push`]: append `rows` of a
-    /// same-source run (`cols[tag][row]`) with one extend per column.
-    /// `first_lsn`/`last_lsn` bound the run's WAL records, exactly as the
-    /// per-row path records them.
+    /// Append `rows` of a run (`cols[tag][row]`) with one extend per
+    /// column. `first_lsn`/`last_lsn` bound the run's WAL records.
     pub fn push_run(
         &mut self,
         ts: &[i64],
-        cols: &[Vec<Option<f64>>],
+        cols: Cols<'_>,
         rows: std::ops::Range<usize>,
         first_lsn: u64,
         last_lsn: u64,
@@ -183,7 +190,7 @@ impl SourceBuffer {
         self.last_lsn = last_lsn;
         let base = self.ts.len();
         self.ts.extend_from_slice(&ts[rows.clone()]);
-        for (slot, src) in self.cols.iter_mut().zip(cols) {
+        for (slot, src) in self.cols.iter_mut().zip(cols.iter()) {
             push_run_value(slot, base, src, rows.clone());
         }
     }
@@ -213,21 +220,22 @@ impl SourceBuffer {
             + cols_heap_bytes(&self.cols)
     }
 
-    /// Take the contents, leaving an empty buffer with the same shape
-    /// (columns drop back to unallocated — a drained buffer costs as
-    /// little as a fresh one). Returns `(timestamps, cols, first_lsn,
-    /// last_lsn)` — the seal records `last_lsn` as the source's sealed
-    /// low-water mark, and `first_lsn` keeps queued-but-unsealed rows
-    /// inside the WAL's checkpoint-truncation bound while they sit in the
-    /// seal pipeline.
-    pub fn take(&mut self) -> (Vec<i64>, Vec<Vec<Option<f64>>>, u64, u64) {
+    /// Take the contents as a seal job of `kind`, leaving an empty
+    /// buffer with the same shape (columns drop back to unallocated — a
+    /// drained buffer costs as little as a fresh one). The seal records
+    /// the job's `last_lsn` as the buffer's replay low-water mark, and its
+    /// `first_lsn` keeps queued-but-unsealed rows inside the WAL's
+    /// checkpoint-truncation bound while they sit in the seal pipeline.
+    pub(crate) fn take(&mut self, kind: JobKind) -> PendingSeal {
         let rows = self.ts.len();
-        let ts = std::mem::take(&mut self.ts);
-        let cols = cols_into_options(&mut self.cols, rows);
-        let (first, last) = (self.first_lsn, self.last_lsn);
-        self.first_lsn = 0;
-        self.last_lsn = 0;
-        (ts, cols, first, last)
+        PendingSeal::new(
+            kind,
+            std::mem::take(&mut self.ts),
+            Vec::new(),
+            cols_into_options(&mut self.cols, rows),
+            std::mem::take(&mut self.first_lsn),
+            std::mem::take(&mut self.last_lsn),
+        )
     }
 
     #[inline]
@@ -250,10 +258,6 @@ impl SourceBuffer {
         })
     }
 }
-
-/// What [`MgBuffer::take`] drains: `(timestamps, source ids, per-tag
-/// columns, first WAL LSN, last WAL LSN)`.
-pub type MgDrain = (Vec<i64>, Vec<SourceId>, Vec<Vec<Option<f64>>>, u64, u64);
 
 /// Row-accumulating buffer for one Mixed-Grouping group: rows from many
 /// sources interleaved in arrival (≈ timestamp) order.
@@ -280,27 +284,13 @@ impl MgBuffer {
         }
     }
 
-    pub fn push(&mut self, source: SourceId, ts: i64, values: &[Option<f64>], lsn: u64) {
-        debug_assert_eq!(values.len(), self.cols.len());
-        if self.ts.is_empty() {
-            self.first_lsn = lsn;
-        }
-        self.last_lsn = lsn;
-        let row = self.ts.len();
-        self.ts.push(ts);
-        self.ids.push(source);
-        for (slot, v) in self.cols.iter_mut().zip(values) {
-            push_value(slot, row, *v);
-        }
-    }
-
-    /// Columnar counterpart of [`MgBuffer::push`]: append `rows` of a
-    /// same-source run (`cols[tag][row]`) with one extend per column.
+    /// Append `rows` of one source's run (`cols[tag][row]`) with one
+    /// extend per column.
     pub fn push_run(
         &mut self,
         source: SourceId,
         ts: &[i64],
-        cols: &[Vec<Option<f64>>],
+        cols: Cols<'_>,
         rows: std::ops::Range<usize>,
         first_lsn: u64,
         last_lsn: u64,
@@ -316,7 +306,7 @@ impl MgBuffer {
         let base = self.ts.len();
         self.ts.extend_from_slice(&ts[rows.clone()]);
         self.ids.resize(self.ids.len() + rows.len(), source);
-        for (slot, src) in self.cols.iter_mut().zip(cols) {
+        for (slot, src) in self.cols.iter_mut().zip(cols.iter()) {
             push_run_value(slot, base, src, rows.clone());
         }
     }
@@ -346,18 +336,17 @@ impl MgBuffer {
             + cols_heap_bytes(&self.cols)
     }
 
-    /// `(timestamps, source ids, per-tag columns, first LSN, last LSN)`.
-    pub fn take(&mut self) -> MgDrain {
+    /// Take the contents as the seal job of MG group `group` (see
+    /// [`SourceBuffer::take`]).
+    pub(crate) fn take(&mut self, group: odh_types::GroupId) -> PendingSeal {
         let rows = self.ts.len();
-        let (first, last) = (self.first_lsn, self.last_lsn);
-        self.first_lsn = 0;
-        self.last_lsn = 0;
-        (
+        PendingSeal::new(
+            JobKind::Mg { group },
             std::mem::take(&mut self.ts),
             std::mem::take(&mut self.ids),
             cols_into_options(&mut self.cols, rows),
-            first,
-            last,
+            std::mem::take(&mut self.first_lsn),
+            std::mem::take(&mut self.last_lsn),
         )
     }
 
@@ -392,24 +381,39 @@ impl MgBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odh_types::GroupId;
     use proptest::prelude::*;
+
+    /// One row as a one-row run.
+    fn push(b: &mut SourceBuffer, ts: i64, values: &[Option<f64>], lsn: u64) {
+        b.push_run(&[ts], Cols::Row(values), 0..1, lsn, lsn);
+    }
+
+    fn push_mg(b: &mut MgBuffer, source: SourceId, ts: i64, values: &[Option<f64>], lsn: u64) {
+        b.push_run(source, &[ts], Cols::Row(values), 0..1, lsn, lsn);
+    }
+
+    /// The buffer does not look at the kind it stamps on a taken job.
+    fn kind() -> JobKind {
+        JobKind::Mg { group: GroupId(0) }
+    }
 
     #[test]
     fn source_buffer_accumulates_and_takes() {
         let mut b = SourceBuffer::new(2, 8);
-        b.push(10, &[Some(1.0), None], 5);
-        b.push(20, &[Some(2.0), Some(9.0)], 6);
+        push(&mut b, 10, &[Some(1.0), None], 5);
+        push(&mut b, 20, &[Some(2.0), Some(9.0)], 6);
         assert_eq!(b.len(), 2);
         assert_eq!(b.non_null(), 3);
         assert_eq!((b.first_lsn, b.last_lsn), (5, 6));
-        let (ts, cols, first, last) = b.take();
-        assert_eq!((first, last), (5, 6));
-        assert_eq!(ts, vec![10, 20]);
-        assert_eq!(cols[0], vec![Some(1.0), Some(2.0)]);
-        assert_eq!(cols[1], vec![None, Some(9.0)]);
+        let job = b.take(kind());
+        assert_eq!((job.first_lsn, job.last_lsn), (5, 6));
+        assert_eq!(job.ts, vec![10, 20]);
+        assert_eq!(job.cols[0], vec![Some(1.0), Some(2.0)]);
+        assert_eq!(job.cols[1], vec![None, Some(9.0)]);
         assert!(b.is_empty());
         assert_eq!(b.tag_count(), 2, "shape preserved after take");
-        b.push(30, &[None, None], 7);
+        push(&mut b, 30, &[None, None], 7);
         assert_eq!((b.first_lsn, b.last_lsn), (7, 7));
         assert_eq!(b.len(), 1);
     }
@@ -418,7 +422,7 @@ mod tests {
     fn source_buffer_range_projection() {
         let mut b = SourceBuffer::new(3, 8);
         for i in 0..10 {
-            b.push(i * 10, &[Some(i as f64), Some(-(i as f64)), None], 0);
+            push(&mut b, i * 10, &[Some(i as f64), Some(-(i as f64)), None], 0);
         }
         let rows: Vec<_> = b.rows_in_range(25, 55, &[1]).collect();
         assert_eq!(rows.len(), 3); // 30, 40, 50
@@ -431,15 +435,15 @@ mod tests {
         // 70 all-NULL rows on tag 1 — crosses a bitmap word boundary
         // before the column is ever allocated.
         for i in 0..70 {
-            b.push(i, &[Some(i as f64), None], i as u64 + 1);
+            push(&mut b, i, &[Some(i as f64), None], i as u64 + 1);
         }
         assert_eq!(b.non_null(), 70);
-        b.push(70, &[None, Some(7.0)], 71);
+        push(&mut b, 70, &[None, Some(7.0)], 71);
         assert_eq!(b.non_null(), 71);
         let rows: Vec<_> = b.rows_in_range(69, 70, &[0, 1]).collect();
         assert_eq!(rows[0], (69, vec![Some(69.0), None]));
         assert_eq!(rows[1], (70, vec![None, Some(7.0)]));
-        let (_, cols, _, _) = b.take();
+        let cols = b.take(kind()).cols;
         assert_eq!(cols[1][..70], vec![None; 70][..]);
         assert_eq!(cols[1][70], Some(7.0));
     }
@@ -448,28 +452,28 @@ mod tests {
     fn untouched_tags_stay_unallocated() {
         let mut b = SourceBuffer::new(4, 64);
         for i in 0..32 {
-            b.push(i, &[Some(1.0), None, None, None], 1);
+            push(&mut b, i, &[Some(1.0), None, None, None], 1);
         }
         let one_col = b.approx_bytes();
         let mut wide = SourceBuffer::new(4, 64);
         for i in 0..32 {
-            wide.push(i, &[Some(1.0), Some(2.0), Some(3.0), Some(4.0)], 1);
+            push(&mut wide, i, &[Some(1.0), Some(2.0), Some(3.0), Some(4.0)], 1);
         }
         assert!(
             one_col < wide.approx_bytes(),
             "NULL-only tags must not allocate: {one_col} vs {}",
             wide.approx_bytes()
         );
-        let (_, cols, _, _) = b.take();
+        let cols = b.take(kind()).cols;
         assert_eq!(cols[3], vec![None; 32]);
     }
 
     #[test]
     fn mg_buffer_filters_by_source() {
         let mut b = MgBuffer::new(1, 8);
-        b.push(SourceId(1), 10, &[Some(1.0)], 1);
-        b.push(SourceId(2), 11, &[Some(2.0)], 2);
-        b.push(SourceId(1), 12, &[Some(3.0)], 3);
+        push_mg(&mut b, SourceId(1), 10, &[Some(1.0)], 1);
+        push_mg(&mut b, SourceId(2), 11, &[Some(2.0)], 2);
+        push_mg(&mut b, SourceId(1), 12, &[Some(3.0)], 3);
         let all: Vec<_> = b.rows_in_range(0, 100, &[0], None).collect();
         assert_eq!(all.len(), 3);
         let one: Vec<_> = b.rows_in_range(0, 100, &[0], Some(SourceId(1))).collect();
@@ -480,10 +484,10 @@ mod tests {
     #[test]
     fn mg_take_clears_ids_too() {
         let mut b = MgBuffer::new(1, 4);
-        b.push(SourceId(5), 1, &[None], 9);
-        let (ts, ids, cols, first, last) = b.take();
-        assert_eq!((first, last), (9, 9));
-        assert_eq!((ts.len(), ids.len(), cols[0].len()), (1, 1, 1));
+        push_mg(&mut b, SourceId(5), 1, &[None], 9);
+        let job = b.take(GroupId(0));
+        assert_eq!((job.first_lsn, job.last_lsn), (9, 9));
+        assert_eq!((job.ts.len(), job.ids.len(), job.cols[0].len()), (1, 1, 1));
         assert!(b.is_empty());
         assert!(b.ids.is_empty());
     }
@@ -511,7 +515,7 @@ mod tests {
             let mut model: Vec<Vec<Option<f64>>> = vec![Vec::new(); tags];
             let mut ts_model = Vec::new();
             for (i, (t, vals)) in rows.iter().enumerate() {
-                b.push(*t, vals, i as u64 + 1);
+                push(&mut b, *t, vals, i as u64 + 1);
                 ts_model.push(*t);
                 for (tag, v) in vals.iter().enumerate() {
                     model[tag].push(*v);
@@ -529,23 +533,21 @@ mod tests {
                 }
             }
             // Drain equivalence.
-            let (ts, cols, ..) = b.take();
-            prop_assert_eq!(ts, ts_model);
-            for tag in 0..tags {
-                prop_assert_eq!(&cols[tag], &model[tag]);
-            }
+            let job = b.take(kind());
+            prop_assert_eq!(job.ts, ts_model);
+            prop_assert_eq!(job.cols, model);
         }
 
         #[test]
-        fn source_buffer_push_run_matches_push(rows in rows_strategy(2), split in 0usize..200) {
+        fn one_row_runs_match_a_split_run(rows in rows_strategy(2), split in 0usize..200) {
             let tags = 2;
             let split = split.min(rows.len());
-            // Per-row path.
+            // One-row runs.
             let mut by_row = SourceBuffer::new(tags, 8);
             for (i, (t, vals)) in rows.iter().enumerate() {
-                by_row.push(*t, vals, i as u64 + 1);
+                push(&mut by_row, *t, vals, i as u64 + 1);
             }
-            // Columnar path, split into two runs at an arbitrary point.
+            // The same rows as two runs, split at an arbitrary point.
             let ts_all: Vec<i64> = rows.iter().map(|(t, _)| *t).collect();
             let mut cols_all: Vec<Vec<Option<f64>>> = vec![Vec::new(); tags];
             for (_, vals) in &rows {
@@ -554,13 +556,19 @@ mod tests {
                 }
             }
             let mut by_run = SourceBuffer::new(tags, 8);
-            by_run.push_run(&ts_all, &cols_all, 0..split, 1, split as u64);
-            by_run.push_run(&ts_all, &cols_all, split..rows.len(), split as u64 + 1, rows.len() as u64);
+            by_run.push_run(&ts_all, Cols::Run(&cols_all), 0..split, 1, split as u64);
+            by_run.push_run(
+                &ts_all,
+                Cols::Run(&cols_all),
+                split..rows.len(),
+                split as u64 + 1,
+                rows.len() as u64,
+            );
             prop_assert_eq!(by_row.non_null(), by_run.non_null());
-            let (ts_a, cols_a, ..) = by_row.take();
-            let (ts_b, cols_b, ..) = by_run.take();
-            prop_assert_eq!(ts_a, ts_b);
-            prop_assert_eq!(cols_a, cols_b);
+            let a = by_row.take(kind());
+            let b = by_run.take(kind());
+            prop_assert_eq!(a.ts, b.ts);
+            prop_assert_eq!(a.cols, b.cols);
         }
 
         #[test]
@@ -569,7 +577,7 @@ mod tests {
             let mut b = MgBuffer::new(tags, 8);
             let mut model: Vec<Vec<Option<f64>>> = vec![Vec::new(); tags];
             for (i, (t, vals)) in rows.iter().enumerate() {
-                b.push(SourceId(i as u64 % 5), *t, vals, i as u64 + 1);
+                push_mg(&mut b, SourceId(i as u64 % 5), *t, vals, i as u64 + 1);
                 for (tag, v) in vals.iter().enumerate() {
                     model[tag].push(*v);
                 }
@@ -582,11 +590,9 @@ mod tests {
                     prop_assert_eq!(vals[tag], model[tag][row]);
                 }
             }
-            let (_, ids, cols, ..) = b.take();
-            prop_assert_eq!(ids.len(), rows.len());
-            for tag in 0..tags {
-                prop_assert_eq!(&cols[tag], &model[tag]);
-            }
+            let job = b.take(GroupId(0));
+            prop_assert_eq!(job.ids.len(), rows.len());
+            prop_assert_eq!(job.cols, model);
         }
     }
 }

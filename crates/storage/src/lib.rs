@@ -41,6 +41,7 @@ pub mod wal;
 
 pub use batch::TagSummary;
 pub use blob::{SealScratch, ValueBlob};
+pub use buffer::Cols;
 pub use cache::DecodeCache;
 pub use compact::CompactReport;
 pub use delete::{DeletePredicate, Tombstone};

@@ -140,14 +140,6 @@ impl SourceRegistry {
         self.meta(source.0).ok_or_else(|| OdhError::NotFound(format!("{source} not registered")))
     }
 
-    /// Meta plus watermark in one lock acquisition — the columnar put
-    /// path needs both before touching the buffer shard.
-    pub fn meta_and_watermark(&self, source: u64) -> Option<(SourceMeta, Option<i64>)> {
-        self.shard(source)
-            .get(&source)
-            .map(|r| (r.meta, (r.watermark != i64::MIN).then_some(r.watermark)))
-    }
-
     pub fn len(&self) -> usize {
         self.count.load(Ordering::Relaxed)
     }
@@ -175,10 +167,10 @@ impl SourceRegistry {
         }
     }
 
-    /// True when `ts` precedes `source`'s sealed watermark — the row
-    /// would land behind a batch that is already immutable.
-    pub fn is_late(&self, source: u64, ts: i64) -> bool {
-        self.shard(source).get(&source).is_some_and(|r| r.watermark != i64::MIN && ts < r.watermark)
+    /// `source`'s seal watermark, once a batch of it has been taken: a
+    /// row before it would land behind a batch that is already immutable.
+    pub fn watermark(&self, source: u64) -> Option<i64> {
+        self.shard(source).get(&source).map(|r| r.watermark).filter(|&w| w != i64::MIN)
     }
 
     pub fn sealed_lsn(&self, source: u64) -> u64 {
@@ -449,8 +441,7 @@ mod tests {
         assert_eq!(r.sealed_lsn(3), 5);
         r.note_watermark(3, 100);
         r.note_watermark(3, 50);
-        assert!(r.is_late(3, 99));
-        assert!(!r.is_late(3, 100));
+        assert_eq!(r.watermark(3), Some(100));
         r.advance_late_sealed(3, 9);
         assert_eq!(r.late_sealed_lsn(3), 9);
         // Watermark 100 < floor 200 → candidate; removal reclaims all marks.
@@ -458,7 +449,7 @@ mod tests {
         assert!(r.remove_if(3, |rec| rec.watermark < 200));
         assert_eq!(r.len(), 0);
         assert_eq!(r.sealed_lsn(3), 0);
-        assert!(!r.is_late(3, 0));
+        assert_eq!(r.watermark(3), None);
         // The id can be registered again after pruning.
         r.register(SourceId(3), meta_for(3, SourceClass::irregular_high()), || Ok(())).unwrap();
         assert_eq!(r.sealed_lsn(3), 0, "re-registration starts clean");
@@ -633,7 +624,7 @@ mod tests {
                 prop_assert_eq!(got.ingest, meta.ingest);
                 let wm = m.watermarks.get(&id).copied();
                 prop_assert_eq!(
-                    r.meta_and_watermark(id).unwrap().1,
+                    r.watermark(id),
                     wm.filter(|&w| w != i64::MIN)
                 );
             }

@@ -31,23 +31,26 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// What a queued seal job will become: per-source RTS/IRTS batches, or
-/// one MG batch for a group.
+/// What a taken buffer's rows will become: per-source RTS/IRTS batches,
+/// one MG batch for a group, or one IRTS batch of a source's late rows
+/// from its side buffer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum JobKind {
     Source { source: SourceId, meta: SourceMeta },
     Mg { group: GroupId },
+    Side { source: SourceId, meta: SourceMeta },
 }
 
 /// One buffer's worth of rows taken off the ingest path but not yet
 /// installed in a container. Immutable once enqueued: workers read it to
 /// encode, scans read it for dirty-read visibility.
+#[derive(Clone)]
 pub(crate) struct PendingSeal {
     pub id: u64,
     pub kind: JobKind,
     pub ts: Vec<i64>,
-    /// Row sources, parallel to `ts`; empty for `JobKind::Source` jobs
-    /// (every row belongs to the job's source).
+    /// Row sources, parallel to `ts`; empty unless the job is MG (every
+    /// row of a source or side job belongs to the job's source).
     pub ids: Vec<SourceId>,
     /// `cols[tag][row]`.
     pub cols: Vec<Vec<Option<f64>>>,
@@ -58,44 +61,15 @@ pub(crate) struct PendingSeal {
 }
 
 impl PendingSeal {
-    pub(crate) fn source(
-        source: SourceId,
-        meta: SourceMeta,
-        ts: Vec<i64>,
-        cols: Vec<Vec<Option<f64>>>,
-        first_lsn: u64,
-        last_lsn: u64,
-    ) -> PendingSeal {
-        PendingSeal {
-            id: 0,
-            kind: JobKind::Source { source, meta },
-            ts,
-            ids: Vec::new(),
-            cols,
-            first_lsn,
-            last_lsn,
-            enqueued_at: Instant::now(),
-        }
-    }
-
-    pub(crate) fn mg(
-        group: GroupId,
+    pub(crate) fn new(
+        kind: JobKind,
         ts: Vec<i64>,
         ids: Vec<SourceId>,
         cols: Vec<Vec<Option<f64>>>,
         first_lsn: u64,
         last_lsn: u64,
     ) -> PendingSeal {
-        PendingSeal {
-            id: 0,
-            kind: JobKind::Mg { group },
-            ts,
-            ids,
-            cols,
-            first_lsn,
-            last_lsn,
-            enqueued_at: Instant::now(),
-        }
+        PendingSeal { id: 0, kind, ts, ids, cols, first_lsn, last_lsn, enqueued_at: Instant::now() }
     }
 
     /// Rows with `t1 <= ts <= t2`, projected to `tags`, optionally
@@ -113,7 +87,7 @@ impl PendingSeal {
                 return None;
             }
             let id = match self.kind {
-                JobKind::Source { source, .. } => source,
+                JobKind::Source { source, .. } | JobKind::Side { source, .. } => source,
                 JobKind::Mg { .. } => self.ids[row],
             };
             if let Some(w) = want {
@@ -306,7 +280,8 @@ mod tests {
 
     fn job(ts: Vec<i64>, first_lsn: u64) -> PendingSeal {
         let cols = vec![ts.iter().map(|&t| Some(t as f64)).collect()];
-        PendingSeal::source(SourceId(1), meta(), ts, cols, first_lsn, first_lsn + 1)
+        let kind = JobKind::Source { source: SourceId(1), meta: meta() };
+        PendingSeal::new(kind, ts, Vec::new(), cols, first_lsn, first_lsn + 1)
     }
 
     #[test]
@@ -359,8 +334,8 @@ mod tests {
     #[test]
     fn pending_rows_project_and_filter_like_a_buffer() {
         let p = SealPipeline::new(4);
-        let mut j = PendingSeal::mg(
-            GroupId(3),
+        let mut j = PendingSeal::new(
+            JobKind::Mg { group: GroupId(3) },
             vec![10, 20, 30],
             vec![SourceId(1), SourceId(2), SourceId(1)],
             vec![vec![Some(1.0), Some(2.0), Some(3.0)], vec![None, None, None]],

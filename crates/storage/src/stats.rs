@@ -189,18 +189,9 @@ impl StorageStats {
         }
     }
 
-    /// Record one accepted operational record.
-    pub fn note_put(&self, ts_us: i64, points: u64) {
-        self.points_ingested.add(points);
-        self.records_ingested.inc();
-        self.min_ts.fetch_min(ts_us, Ordering::Relaxed);
-        self.max_ts.fetch_max(ts_us, Ordering::Relaxed);
-    }
-
     /// Record a run of `records` accepted records spanning
-    /// `[min_ts_us, max_ts_us]` with `points` non-null values in total —
-    /// one atomic round for what [`StorageStats::note_put`] would count
-    /// row by row.
+    /// `[min_ts_us, max_ts_us]` with `points` non-null values in total,
+    /// in one atomic round.
     pub fn note_put_run(&self, min_ts_us: i64, max_ts_us: i64, records: u64, points: u64) {
         self.points_ingested.add(points);
         self.records_ingested.add(records);
@@ -337,7 +328,7 @@ mod tests {
         let reg = odh_obs::Registry::new();
         let s = StorageStats::new();
         s.register_into(&reg, "t", 7);
-        s.note_put(1_000, 3);
+        s.note_put_run(1_000, 1_000, 1, 3);
         // The registry reads the same atomic the table bumps.
         assert_eq!(
             reg.counter_value("odh_table_points_ingested_total", &[("table", "t"), ("inst", "7")]),

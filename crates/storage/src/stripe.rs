@@ -18,8 +18,9 @@
 //! [`SHARD_COUNT`].
 
 use crate::buffer::{MgBuffer, SourceBuffer};
+use crate::seal::PendingSeal;
 use odh_pager::stats::ConcurrencyStats;
-use odh_types::SourceId;
+use odh_types::GroupId;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,13 +31,6 @@ use std::sync::Arc;
 /// expected contention rate under uniform source traffic stays under
 /// `writers / SHARD_COUNT`.
 pub const SHARD_COUNT: usize = 16;
-
-/// Rows drained from one per-source buffer:
-/// `(timestamps, cols[tag][row], first_lsn, last_lsn)`.
-pub type DrainedRows = (Vec<i64>, Vec<Vec<Option<f64>>>, u64, u64);
-/// Rows drained from one MG buffer:
-/// `(timestamps, ids, cols[tag][row], first_lsn, last_lsn)`.
-pub type DrainedMgRows = (Vec<i64>, Vec<SourceId>, Vec<Vec<Option<f64>>>, u64, u64);
 
 /// The open ingest buffers of one table, striped across independent locks.
 pub struct StripedBuffers {
@@ -182,28 +176,29 @@ impl StripedBuffers {
         min
     }
 
-    /// Take every non-empty per-source buffer (flush). Shards are drained
-    /// one at a time; each lock is held only for the take, and `on_take`
-    /// sees each source's taken timestamps while its shard is still locked.
-    pub fn drain_sources(&self, mut on_take: impl FnMut(u64, &[i64])) -> Vec<(u64, DrainedRows)> {
+    /// Take every non-empty per-source buffer (flush) through `take`,
+    /// which runs with the buffer's shard still locked. Shards are drained
+    /// one at a time; each lock is held only for its takes.
+    pub(crate) fn drain_sources(
+        &self,
+        mut take: impl FnMut(u64, &mut SourceBuffer) -> PendingSeal,
+    ) -> Vec<PendingSeal> {
         let mut out = Vec::new();
         for shard in &self.source {
             let mut g = self.lock_counted(shard);
-            for (id, b) in g.iter_mut().filter(|(_, b)| !b.is_empty()) {
-                let rows = b.take();
-                on_take(*id, &rows.0);
-                out.push((*id, rows));
-            }
+            out.extend(g.iter_mut().filter(|(_, b)| !b.is_empty()).map(|(id, b)| take(*id, b)));
         }
         out
     }
 
     /// Take every non-empty MG buffer (flush).
-    pub fn drain_mg(&self) -> Vec<(u32, DrainedMgRows)> {
+    pub(crate) fn drain_mg(&self) -> Vec<PendingSeal> {
         let mut out = Vec::new();
         for shard in &self.mg {
             let mut g = self.lock_counted(shard);
-            out.extend(g.iter_mut().filter(|(_, b)| !b.is_empty()).map(|(id, b)| (*id, b.take())));
+            out.extend(
+                g.iter_mut().filter(|(_, b)| !b.is_empty()).map(|(id, b)| b.take(GroupId(*id))),
+            );
         }
         out
     }
@@ -216,6 +211,8 @@ impl StripedBuffers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::Cols;
+    use crate::seal::JobKind;
 
     #[test]
     fn stripe_is_stable_per_key() {
@@ -240,16 +237,13 @@ mod tests {
         let s = StripedBuffers::new(Arc::new(ConcurrencyStats::default()));
         for id in 0..100u64 {
             let mut g = s.lock_source(id);
-            g.entry(id).or_insert_with(|| SourceBuffer::new(1, 4)).push(
-                id as i64,
-                &[Some(1.0)],
-                id + 1,
-            );
+            let b = g.entry(id).or_insert_with(|| SourceBuffer::new(1, 4));
+            b.push_run(&[id as i64], Cols::Row(&[Some(1.0)]), 0..1, id + 1, id + 1);
         }
         assert_eq!(s.points(), 100);
         assert_eq!(s.buffered_totals(), (100, 100));
         assert_eq!(s.min_first_lsn(), Some(1));
-        let drained = s.drain_sources(|_, _| {});
+        let drained = s.drain_sources(|_, b| b.take(JobKind::Mg { group: GroupId(0) }));
         assert_eq!(drained.len(), 100);
         assert_eq!(s.points(), 0);
         assert_eq!(s.min_first_lsn(), None);

@@ -8,7 +8,7 @@
 
 use crate::batch::{summarize_columns, Batch, IrtsBatch, MgBatch, RtsBatch, TagSummary};
 use crate::blob::ValueBlob;
-use crate::buffer::{MgBuffer, SourceBuffer};
+use crate::buffer::{Cols, MgBuffer, SourceBuffer};
 use crate::cache::{CachedBatch, DecodeCache};
 use crate::container::Container;
 use crate::delete::{masks_batch, masks_row, DeletePredicate, Tombstone};
@@ -738,6 +738,23 @@ struct WalBinding {
     table_id: u16,
 }
 
+/// A recovered WAL point frame being replayed: its LSN, and whether it
+/// was logged as a late (side-buffer) point.
+#[derive(Debug, Clone, Copy)]
+struct Replay {
+    lsn: u64,
+    late: bool,
+}
+
+/// One source's rows on their way into the table (`cols.col(tag)[row]`).
+struct Run<'a> {
+    source: SourceId,
+    meta: SourceMeta,
+    ts: &'a [i64],
+    cols: Cols<'a>,
+    replay: Option<Replay>,
+}
+
 impl OdhTable {
     pub fn create(
         pool: Arc<BufferPool>,
@@ -958,307 +975,199 @@ impl OdhTable {
         self.obs.open_buffer_bytes.add(buf - prev);
     }
 
-    /// Ingest one operational record. With a WAL attached the record is
-    /// appended to the log (write-ahead) before it enters the buffer;
-    /// durability is acknowledged at the next [`Wal::sync`].
+    /// Ingest one operational record: a one-row run (see
+    /// [`OdhTable::put_cols`]). With a WAL attached the record is appended
+    /// to the log (write-ahead) before it enters its buffer; durability is
+    /// acknowledged at the next [`Wal::sync`].
     pub fn put(&self, record: &Record) -> Result<()> {
-        self.put_at(record, None).map(|_| ())
+        let ts = [record.ts.micros()];
+        self.ingest(record.source, &ts, Cols::Row(&record.values), None).map(|_| ())
     }
 
     /// Ingest a columnar run of `ts.len()` records for one source
-    /// (`cols[tag][row]`) — the batch counterpart of [`OdhTable::put`],
-    /// with source lookup, metering, shard locking, and WAL stripe
-    /// locking amortized over the run instead of paid per row. Ingested
-    /// rows, WAL bytes, statistics, and late-row routing are identical to
-    /// calling `put` row by row, for every ingest structure (RTS/IRTS
-    /// source buffers and MG group buffers alike).
+    /// (`cols[tag][row]`), with source lookup, metering, shard locking,
+    /// and WAL stripe locking paid per chunk instead of per row. Ingested
+    /// rows, WAL bytes, statistics, and late-row routing do not depend on
+    /// how a source's rows are cut into runs.
     pub fn put_cols(&self, source: SourceId, ts: &[i64], cols: &[Vec<Option<f64>>]) -> Result<()> {
+        self.ingest(source, ts, Cols::Run(cols), None).map(|_| ())
+    }
+
+    /// Replay one recovered WAL point frame: re-buffers the point under
+    /// its original LSN without re-logging it — a late frame into the
+    /// side buffer, any other into the buffer it originally came from —
+    /// and skips frames whose row was sealed into a container before the
+    /// checkpoint (idempotent replay, one low-water mark per buffer kind).
+    /// Returns whether the point was applied.
+    pub fn replay(&self, record: &Record, lsn: u64, late: bool) -> Result<bool> {
+        let ts = [record.ts.micros()];
+        self.ingest(record.source, &ts, Cols::Row(&record.values), Some(Replay { lsn, late }))
+    }
+
+    /// The one ingest path: every row enters a table here, as part of a
+    /// run of one source's rows. A run is cut into chunks, each taken under
+    /// one shard lock: up to the room left in its buffer, and at every
+    /// change between rows behind the source's watermark (late, bound for
+    /// the side buffer) and rows at or after it. Returns false for a
+    /// replayed frame that was already sealed.
+    fn ingest(
+        &self,
+        source: SourceId,
+        ts: &[i64],
+        cols: Cols<'_>,
+        replay: Option<Replay>,
+    ) -> Result<bool> {
         let n = ts.len();
         if n == 0 {
-            return Ok(());
+            return Ok(true);
         }
         self.cfg.schema.check_arity(cols.len())?;
         if cols.iter().any(|c| c.len() != n) {
             return Err(OdhError::Config("put_cols: ragged column lengths".into()));
         }
-        let (meta, mut wm) = self
-            .registry
-            .meta_and_watermark(source.0)
-            .ok_or_else(|| OdhError::NotFound(format!("{source} not registered")))?;
-        let mut off = 0usize;
+        let meta = self.registry.require(source)?;
+        self.meter.cpu(self.meter.costs.point_encode * (n * cols.len()) as f64);
+        if let Some(r) = replay {
+            let sealed = match (r.late, meta.ingest) {
+                (true, _) => self.registry.late_sealed_lsn(source.0),
+                (false, Structure::Mg) => self.registry.mg_sealed_lsn(meta.group.0),
+                (false, _) => self.registry.sealed_lsn(source.0),
+            };
+            if r.lsn <= sealed {
+                return Ok(false);
+            }
+        }
+        let run = Run { source, meta, ts, cols, replay };
+        let mut off = 0;
         while off < n {
-            match meta.ingest {
-                Structure::Rts | Structure::Irts => {
-                    let mut g = self.buffers.lock_source(source.0);
-                    let buf = g.entry(source.0).or_insert_with(|| {
-                        SourceBuffer::new(self.cfg.schema.tag_count(), self.cfg.batch_size)
-                    });
-                    let room = self.cfg.batch_size.saturating_sub(buf.len()).max(1);
-                    let take = room.min(n - off);
-                    // Disorder slow path: once a chunk holds rows behind the
-                    // watermark, the rest of the run goes row by row through
-                    // `put_at`, which routes each late row to the side buffer
-                    // exactly as `put` would. The watermark rises only when
-                    // this source's buffer is taken, and a take inside this
-                    // run raises `wm` below, so every chunk is checked against
-                    // the watermark `put` would see. The net server ingests
-                    // via `put_cols`, so late wire frames take the same
-                    // routing as in-process puts.
-                    if wm.is_some_and(|wm| ts[off..off + take].iter().any(|&t| t < wm)) {
-                        drop(g);
-                        self.note_put_cols(ts, cols, 0..off);
-                        for row in off..n {
-                            let values: Vec<Option<f64>> = cols.iter().map(|c| c[row]).collect();
-                            self.put_at(&Record::new(source, Timestamp(ts[row]), values), None)?;
-                        }
-                        return Ok(());
-                    }
-                    // WAL append inside the shard lock, as in `put_at`:
-                    // per-source LSN order equals buffer order.
-                    let (first_lsn, last_lsn) = match self.wal_binding() {
-                        Some(b) => {
-                            b.wal.append_run(b.table_id, source.0, ts, cols, off..off + take)?
-                        }
-                        None => (0, 0),
-                    };
-                    buf.push_run(ts, cols, off..off + take, first_lsn, last_lsn);
-                    if buf.len() >= self.cfg.batch_size {
-                        let _seal = self.seals.begin();
-                        let (bts, bcols, bfirst, blast) = buf.take();
-                        wm = wm.max(self.raise_watermark(source, &bts));
-                        drop(g);
-                        self.dispatch_source_seal(source, meta, bts, bcols, bfirst, blast)?;
-                    }
-                    off += take;
-                }
-                Structure::Mg => {
-                    let mut g = self.buffers.lock_mg(meta.group.0);
-                    let buf = g.entry(meta.group.0).or_insert_with(|| {
-                        MgBuffer::new(self.cfg.schema.tag_count(), self.cfg.batch_size)
-                    });
-                    let room = self.cfg.batch_size.saturating_sub(buf.len()).max(1);
-                    let take = room.min(n - off);
-                    let (first_lsn, last_lsn) = match self.wal_binding() {
-                        Some(b) => {
-                            b.wal.append_run(b.table_id, source.0, ts, cols, off..off + take)?
-                        }
-                        None => (0, 0),
-                    };
-                    buf.push_run(source, ts, cols, off..off + take, first_lsn, last_lsn);
-                    if buf.len() >= self.cfg.batch_size {
-                        let _seal = self.seals.begin();
-                        let (bts, ids, bcols, bfirst, blast) = buf.take();
-                        drop(g);
-                        self.dispatch_mg_seal(meta.group, bts, ids, bcols, bfirst, blast)?;
-                    }
-                    off += take;
-                }
-            }
+            off = match meta.ingest {
+                _ if replay.is_some_and(|r| r.late) => self.ingest_side(&run, off..n)?,
+                Structure::Mg => self.ingest_mg(&run, off)?,
+                _ => self.ingest_source(&run, off)?,
+            };
         }
-        self.note_put_cols(ts, cols, 0..n);
-        Ok(())
-    }
-
-    /// Meter and count the rows `range` of a `put_cols` run in one go.
-    fn note_put_cols(&self, ts: &[i64], cols: &[Vec<Option<f64>>], range: std::ops::Range<usize>) {
-        if range.is_empty() {
-            return;
-        }
-        self.meter.cpu(self.meter.costs.point_encode * (range.len() * cols.len()) as f64);
-        let points: u64 = cols
-            .iter()
-            .map(|c| c[range.clone()].iter().filter(|v| v.is_some()).count() as u64)
-            .sum();
-        let (min_ts, max_ts) = ts[range.clone()]
-            .iter()
-            .fold((i64::MAX, i64::MIN), |(lo, hi), &t| (lo.min(t), hi.max(t)));
-        self.stats.note_put_run(min_ts, max_ts, range.len() as u64, points);
-    }
-
-    /// Replay one recovered WAL frame: re-buffers the point under its
-    /// original LSN without re-logging it, and skips frames whose row was
-    /// already sealed into a container before the checkpoint (idempotent
-    /// replay). Returns whether the point was applied.
-    pub fn replay_put(&self, record: &Record, lsn: u64) -> Result<bool> {
-        self.put_at(record, Some(lsn))
-    }
-
-    fn put_at(&self, record: &Record, replay: Option<u64>) -> Result<bool> {
-        self.cfg.schema.check_arity(record.values.len())?;
-        let meta = self.registry.require(record.source)?;
-        self.meter.cpu(self.meter.costs.point_encode * record.values.len() as f64);
-        match meta.ingest {
-            Structure::Rts | Structure::Irts => {
-                // Late arrival: a row older than this source's watermark
-                // would sort behind rows already sealed, so it detours to
-                // the WAL-covered side buffer instead of skewing the open
-                // buffer's next batch. Replayed frames never re-route —
-                // a recovered `KIND_POINT` row re-enters the open buffer
-                // it originally came from. MG ingest (below) needs no
-                // routing: batch keys, `max_span` index probes, and the
-                // seal-time sort already tolerate cross-source disorder.
-                // The check runs under the shard lock, where seals raise
-                // the watermark, so routing depends on arrival order alone.
-                let mut g = self.buffers.lock_source(record.source.0);
-                if replay.is_none() && self.is_late(record.source, record.ts.micros()) {
-                    drop(g);
-                    self.put_side(meta, record, None)?;
-                    self.stats.note_put(record.ts.micros(), record.data_points() as u64);
-                    return Ok(true);
-                }
-                // WAL append happens *inside* the shard lock: per-source
-                // LSN order then equals buffer order, which is what lets
-                // recovery reproduce arrival order exactly.
-                let lsn = match replay {
-                    Some(l) => {
-                        if l <= self.registry.sealed_lsn(record.source.0) {
-                            return Ok(false);
-                        }
-                        l
-                    }
-                    None => match self.wal_binding() {
-                        Some(b) => b.wal.append_point(b.table_id, record)?,
-                        None => 0,
-                    },
-                };
-                let buf = g.entry(record.source.0).or_insert_with(|| {
-                    SourceBuffer::new(self.cfg.schema.tag_count(), self.cfg.batch_size)
-                });
-                buf.push(record.ts.micros(), &record.values, lsn);
-                if buf.len() >= self.cfg.batch_size {
-                    // Ticket before the take: readers must find these rows
-                    // in the buffer, the seal queue, or the container at
-                    // every instant.
-                    let _seal = self.seals.begin();
-                    let (ts, cols, first_lsn, last_lsn) = buf.take();
-                    self.raise_watermark(record.source, &ts);
-                    // Seal outside the shard lock: blob encoding is the
-                    // expensive part, and other sources on this shard can
-                    // keep ingesting meanwhile.
-                    drop(g);
-                    self.dispatch_source_seal(record.source, meta, ts, cols, first_lsn, last_lsn)?;
-                }
-            }
-            Structure::Mg => {
-                let mut g = self.buffers.lock_mg(meta.group.0);
-                let lsn = match replay {
-                    Some(l) => {
-                        if l <= self.registry.mg_sealed_lsn(meta.group.0) {
-                            return Ok(false);
-                        }
-                        l
-                    }
-                    None => match self.wal_binding() {
-                        Some(b) => b.wal.append_point(b.table_id, record)?,
-                        None => 0,
-                    },
-                };
-                let buf = g.entry(meta.group.0).or_insert_with(|| {
-                    MgBuffer::new(self.cfg.schema.tag_count(), self.cfg.batch_size)
-                });
-                buf.push(record.source, record.ts.micros(), &record.values, lsn);
-                if buf.len() >= self.cfg.batch_size {
-                    let _seal = self.seals.begin();
-                    let (ts, ids, cols, first_lsn, last_lsn) = buf.take();
-                    drop(g);
-                    self.dispatch_mg_seal(meta.group, ts, ids, cols, first_lsn, last_lsn)?;
-                }
-            }
-        }
-        self.stats.note_put(record.ts.micros(), record.data_points() as u64);
+        let points: u64 =
+            cols.iter().map(|c| c.iter().filter(|v| v.is_some()).count() as u64).sum();
+        let (lo, hi) = ts.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &t| (lo.min(t), hi.max(t)));
+        self.stats.note_put_run(lo, hi, n as u64, points);
         Ok(true)
     }
 
-    /// Replay one recovered late-point frame into the side buffer under
-    /// its original LSN — the late counterpart of [`OdhTable::replay_put`],
-    /// idempotent via the `late_sealed` low-water marks.
-    pub fn replay_put_late(&self, record: &Record, lsn: u64) -> Result<bool> {
-        self.cfg.schema.check_arity(record.values.len())?;
-        let meta = self.registry.require(record.source)?;
-        let applied = self.put_side(meta, record, Some(lsn))?;
-        if applied {
-            self.stats.note_put(record.ts.micros(), record.data_points() as u64);
+    /// One chunk of an RTS/IRTS run from row `off`; returns the row the
+    /// next chunk starts at. A row older than the source's watermark would
+    /// sort behind rows already sealed, so a chunk of such late rows
+    /// detours to the side buffer instead of skewing the open buffer's
+    /// next batch. The watermark is read under the shard lock, where takes
+    /// raise it, so routing depends on arrival order alone. Replayed
+    /// frames never re-route: a recovered open-buffer row re-enters the
+    /// open buffer it came from.
+    fn ingest_source(&self, run: &Run, off: usize) -> Result<usize> {
+        let (source, ts, b) = (run.source, run.ts, self.cfg.batch_size);
+        let mut g = self.buffers.lock_source(source.0);
+        let wm = if run.replay.is_none() { self.registry.watermark(source.0) } else { None };
+        let late = |t: &&i64| wm.is_some_and(|wm| **t < wm);
+        // A side chunk holds at most `b` rows, so no more are looked at.
+        let late_rows = ts[off..ts.len().min(off + b)].iter().take_while(late).count();
+        if late_rows > 0 {
+            drop(g);
+            return self.ingest_side(run, off..off + late_rows);
         }
-        Ok(applied)
+        let buf =
+            g.entry(source.0).or_insert_with(|| SourceBuffer::new(self.cfg.schema.tag_count(), b));
+        let room = b.saturating_sub(buf.len()).max(1);
+        let end = off + ts[off..ts.len().min(off + room)].iter().take_while(|t| !late(t)).count();
+        let (first, last) = self.log_rows(run, false, off..end)?;
+        buf.push_run(ts, run.cols, off..end, first, last);
+        if buf.len() >= b {
+            // Ticket before the take: readers must find these rows in the
+            // buffer, the seal queue, or the container at every instant.
+            let _seal = self.seals.begin();
+            let job = buf.take(JobKind::Source { source, meta: run.meta });
+            self.raise_watermark(source, &job.ts);
+            // Seal outside the shard lock: blob encoding is the expensive
+            // part, and other sources on this shard keep ingesting.
+            drop(g);
+            self.seal(job)?;
+        }
+        Ok(end)
     }
 
-    /// Buffer one late row in its source's side buffer. Logged under
-    /// `KIND_LATE_POINT` inside the side shard lock (per-source LSN order
-    /// equals side-buffer order, mirroring `put_at`); seals inline as one
-    /// small IRTS batch when full — late runs are fragmented by nature,
-    /// and the compactor, not the seal pipeline, is where they merge back
+    /// Late rows `rows` of a run into the source's side buffer, up to its
+    /// room; returns the row the next chunk starts at. Logged as late
+    /// frames under the side shard lock; a full side buffer seals inline
+    /// as one small IRTS batch — late runs are fragmented by nature, and
+    /// the compactor, not the seal pipeline, is where they merge back
     /// into full time-ordered generations.
-    fn put_side(&self, meta: SourceMeta, record: &Record, replay: Option<u64>) -> Result<bool> {
-        let source = record.source;
+    fn ingest_side(&self, run: &Run, rows: std::ops::Range<usize>) -> Result<usize> {
+        let source = run.source;
         let mut g = self.side_buffers.lock_source(source.0);
-        let lsn = match replay {
-            Some(l) => {
-                if l <= self.registry.late_sealed_lsn(source.0) {
-                    return Ok(false);
-                }
-                l
-            }
-            None => match self.wal_binding() {
-                Some(b) => b.wal.append_late_point(b.table_id, record)?,
-                None => 0,
-            },
-        };
         let buf = g
             .entry(source.0)
             .or_insert_with(|| SourceBuffer::new(self.cfg.schema.tag_count(), self.cfg.batch_size));
-        buf.push(record.ts.micros(), &record.values, lsn);
-        self.stats.ooo_side_rows.inc();
+        let room = self.cfg.batch_size.saturating_sub(buf.len()).max(1);
+        let end = rows.end.min(rows.start + room);
+        let (first, last) = self.log_rows(run, true, rows.start..end)?;
+        buf.push_run(run.ts, run.cols, rows.start..end, first, last);
+        self.stats.ooo_side_rows.add((end - rows.start) as u64);
         if buf.len() >= self.cfg.batch_size {
             let _seal = self.seals.begin();
-            let (ts, cols, _first, last_lsn) = buf.take();
+            let job = buf.take(JobKind::Side { source, meta: run.meta });
             drop(g);
-            self.seal_side_batch(source, meta, ts, cols, last_lsn)?;
+            self.seal_job(job, None)?;
         }
-        Ok(true)
+        Ok(end)
     }
 
-    /// Seal one side buffer's rows as an IRTS batch (even for RTS-class
-    /// sources: a late run rarely has exact spacing, and the compactor
-    /// re-types merged windows anyway), then advance the source's
-    /// `late_sealed` low-water mark.
-    fn seal_side_batch(
-        &self,
-        source: SourceId,
-        meta: SourceMeta,
-        ts: Vec<i64>,
-        cols: Vec<Vec<Option<f64>>>,
-        last_lsn: u64,
-    ) -> Result<()> {
-        let _span = self.obs.registry.span("seal", &self.obs.seal);
-        let irts = SourceMeta { ingest: Structure::Irts, ..meta };
-        let batches = self.build_source_batches(source, irts, ts, cols)?;
-        self.install_built(&batches)?;
-        self.registry.advance_late_sealed(source.0, last_lsn);
-        self.stats.ooo_side_batches.inc();
-        Ok(())
+    /// One chunk of an MG run from row `off`; returns the row the next
+    /// chunk starts at. MG ingest needs no late routing: batch keys,
+    /// `max_span` index probes, and the seal-time sort already tolerate
+    /// cross-source disorder.
+    fn ingest_mg(&self, run: &Run, off: usize) -> Result<usize> {
+        let group = run.meta.group;
+        let mut g = self.buffers.lock_mg(group.0);
+        let buf = g
+            .entry(group.0)
+            .or_insert_with(|| MgBuffer::new(self.cfg.schema.tag_count(), self.cfg.batch_size));
+        let room = self.cfg.batch_size.saturating_sub(buf.len()).max(1);
+        let end = run.ts.len().min(off + room);
+        let (first, last) = self.log_rows(run, false, off..end)?;
+        buf.push_run(run.source, run.ts, run.cols, off..end, first, last);
+        if buf.len() >= self.cfg.batch_size {
+            let _seal = self.seals.begin();
+            let job = buf.take(group);
+            drop(g);
+            self.seal(job)?;
+        }
+        Ok(end)
+    }
+
+    /// WAL LSN bounds of `rows` entering a buffer: a replayed frame keeps
+    /// its LSN; live rows are appended now, inside the caller's shard lock,
+    /// so per-source LSN order equals buffer order — which is what lets
+    /// recovery reproduce arrival order exactly.
+    fn log_rows(&self, run: &Run, late: bool, rows: std::ops::Range<usize>) -> Result<(u64, u64)> {
+        match (run.replay, self.wal_binding()) {
+            (Some(r), _) => Ok((r.lsn, r.lsn)),
+            (None, Some(b)) => {
+                b.wal.append_run(b.table_id, run.source.0, late, run.ts, run.cols, rows)
+            }
+            (None, None) => Ok((0, 0)),
+        }
     }
 
     /// Raise `source`'s seal watermark to the newest row of a full buffer
     /// being taken for sealing (`max` — it never goes down): rows arriving
     /// below it from now on are late and detour to the side buffer.
-    /// Called under the source's shard lock at the take itself, not when
-    /// a seal worker gets to the batch, so whether a row is late depends
-    /// on arrival order and `batch_size` alone. Returns the newest taken
-    /// timestamp.
-    fn raise_watermark(&self, source: SourceId, ts: &[i64]) -> Option<i64> {
-        let newest = ts.iter().max().copied();
-        if let Some(t) = newest {
+    /// Disorder *within* the open buffer (the accepted disorder window: up
+    /// to `batch_size` rows since the last seal) is not late — the
+    /// seal-time sort absorbs it. Called under the source's shard lock at
+    /// the take itself, not when a seal worker gets to the batch, so
+    /// whether a row is late depends on arrival order and `batch_size`
+    /// alone.
+    fn raise_watermark(&self, source: SourceId, ts: &[i64]) {
+        if let Some(&t) = ts.iter().max() {
             self.registry.note_watermark(source.0, t);
         }
-        newest
-    }
-
-    /// Is a row at `ts` late for `source` — would it sort behind rows
-    /// already sealed out of the open buffer? Disorder *within* the open
-    /// buffer (the accepted disorder window: up to `batch_size` rows
-    /// since the last seal) is not late — the seal-time sort absorbs it.
-    fn is_late(&self, source: SourceId, ts: i64) -> bool {
-        self.registry.is_late(source.0, ts)
     }
 
     /// The active tombstone list (a cheap shared snapshot).
@@ -1358,19 +1267,18 @@ impl OdhTable {
             // out. Scoped so the ticket is released before the pipeline
             // barrier below — workers take their own install tickets.
             let _seal = self.seals.begin();
-            let drained = self.buffers.drain_sources(|id, ts| {
-                self.raise_watermark(SourceId(id), ts);
+            let open = self.buffers.drain_sources(|id, buf| {
+                let (source, meta) = (SourceId(id), self.drained_meta(id));
+                let job = buf.take(JobKind::Source { source, meta });
+                self.raise_watermark(source, &job.ts);
+                job
             });
-            for (id, (ts, cols, _first, last_lsn)) in drained {
-                let meta = self.drained_meta(id);
-                self.seal_source_batch(SourceId(id), meta, ts, cols, last_lsn)?;
-            }
-            for (gid, (ts, ids, cols, _first, last_lsn)) in self.buffers.drain_mg() {
-                self.seal_mg_batch(GroupId(gid), ts, ids, cols, last_lsn)?;
-            }
-            for (id, (ts, cols, _first, last_lsn)) in self.side_buffers.drain_sources(|_, _| {}) {
-                let meta = self.drained_meta(id);
-                self.seal_side_batch(SourceId(id), meta, ts, cols, last_lsn)?;
+            let mg = self.buffers.drain_mg();
+            let side = self.side_buffers.drain_sources(|id, buf| {
+                buf.take(JobKind::Side { source: SourceId(id), meta: self.drained_meta(id) })
+            });
+            for job in open.into_iter().chain(mg).chain(side) {
+                self.seal_job(job, None)?;
             }
         }
         // Barrier: every batch handed to the seal pipeline before this
@@ -1432,69 +1340,29 @@ impl OdhTable {
         (r1 + r2, p1 + p2)
     }
 
-    /// Hand a full per-source buffer to the seal pipeline, or seal inline
-    /// when there is no pipeline / the queue is full (backpressure).
-    fn dispatch_source_seal(
-        &self,
-        source: SourceId,
-        meta: SourceMeta,
-        ts: Vec<i64>,
-        cols: Vec<Vec<Option<f64>>>,
-        first_lsn: u64,
-        last_lsn: u64,
-    ) -> Result<()> {
-        let (ts, cols) = match self.seal_pipe.get() {
-            Some(pipe) => {
-                match pipe
-                    .try_enqueue(PendingSeal::source(source, meta, ts, cols, first_lsn, last_lsn))
-                {
-                    Ok(()) => {
-                        self.obs.queue_enqueued.inc();
-                        self.obs.queue_depth.set(pipe.pending_len() as i64);
-                        return Ok(());
-                    }
-                    Err(job) => {
-                        self.obs.queue_fallback.inc();
-                        (job.ts, job.cols)
-                    }
+    /// Hand a taken buffer to the seal pipeline, or seal it inline when
+    /// there is no pipeline or its queue is full (backpressure).
+    fn seal(&self, job: PendingSeal) -> Result<()> {
+        let job = match self.seal_pipe.get() {
+            Some(pipe) => match pipe.try_enqueue(job) {
+                Ok(()) => {
+                    self.obs.queue_enqueued.inc();
+                    self.obs.queue_depth.set(pipe.pending_len() as i64);
+                    return Ok(());
                 }
-            }
-            None => (ts, cols),
-        };
-        self.seal_source_batch(source, meta, ts, cols, last_lsn)
-    }
-
-    /// MG counterpart of [`OdhTable::dispatch_source_seal`].
-    fn dispatch_mg_seal(
-        &self,
-        group: GroupId,
-        ts: Vec<i64>,
-        ids: Vec<SourceId>,
-        cols: Vec<Vec<Option<f64>>>,
-        first_lsn: u64,
-        last_lsn: u64,
-    ) -> Result<()> {
-        let (ts, ids, cols) = match self.seal_pipe.get() {
-            Some(pipe) => {
-                match pipe.try_enqueue(PendingSeal::mg(group, ts, ids, cols, first_lsn, last_lsn)) {
-                    Ok(()) => {
-                        self.obs.queue_enqueued.inc();
-                        self.obs.queue_depth.set(pipe.pending_len() as i64);
-                        return Ok(());
-                    }
-                    Err(job) => {
-                        self.obs.queue_fallback.inc();
-                        (job.ts, job.ids, job.cols)
-                    }
+                Err(job) => {
+                    self.obs.queue_fallback.inc();
+                    job
                 }
-            }
-            None => (ts, ids, cols),
+            },
+            None => job,
         };
-        self.seal_mg_batch(group, ts, ids, cols, last_lsn)
+        self.seal_job(job, None)
     }
 
     /// Start the off-thread seal pipeline: `seal_workers` threads that
-    /// encode and install batches handed off by [`OdhTable::put`]. A no-op
+    /// encode and install the full source and MG buffers the ingest path
+    /// hands off (side buffers always seal inline). A no-op
     /// when `seal_workers == 0` (inline/ablation mode) or when the pipeline
     /// is already running. Workers hold only a `Weak` reference, so
     /// dropping the last `Arc<OdhTable>` shuts the pool down.
@@ -1524,48 +1392,18 @@ impl OdhTable {
                                 pipe.complete(Ok(()));
                                 return;
                             };
-                            let res = table.process_seal_job(&pipe, &job);
+                            let wait = job.enqueued_at.elapsed();
+                            table.obs.queue_wait.record(wait.as_nanos() as u64);
+                            let res = table.seal_job(PendingSeal::clone(&job), Some(&pipe));
+                            if res.is_ok() {
+                                table.obs.queue_depth.set(pipe.pending_len() as i64);
+                            }
                             pipe.complete(res);
                         }
                     }
                 })
                 .expect("spawn seal worker");
         }
-    }
-
-    /// Worker body: encode the job's rows into serialized batches (slow,
-    /// no ticket), then install them and retire the job from the pending
-    /// set under one short seal ticket — to readers the rows move from
-    /// "pending" to "sealed" atomically.
-    fn process_seal_job(&self, pipe: &SealPipeline, job: &PendingSeal) -> Result<()> {
-        self.obs.queue_wait.record(job.enqueued_at.elapsed().as_nanos() as u64);
-        let _span = self.obs.registry.span("seal", &self.obs.seal);
-        match job.kind {
-            JobKind::Source { source, meta } => {
-                let batches =
-                    self.build_source_batches(source, meta, job.ts.clone(), job.cols.clone())?;
-                {
-                    let _t = self.seals.begin();
-                    self.install_built(&batches)?;
-                    pipe.remove_pending(job.id);
-                }
-                self.advance_sealed(source, job.last_lsn);
-            }
-            JobKind::Mg { group } => {
-                let batch =
-                    self.build_mg_batch(group, job.ts.clone(), job.ids.clone(), job.cols.clone())?;
-                {
-                    let _t = self.seals.begin();
-                    if let Some(b) = &batch {
-                        self.install_built(std::slice::from_ref(b))?;
-                    }
-                    pipe.remove_pending(job.id);
-                }
-                self.advance_mg_sealed(group, job.last_lsn);
-            }
-        }
-        self.obs.queue_depth.set(pipe.pending_len() as i64);
-        Ok(())
     }
 
     /// Seal jobs currently queued or in flight — readers merge these rows
@@ -1575,39 +1413,44 @@ impl OdhTable {
         self.seal_pipe.get().map(|p| p.pending_snapshot()).unwrap_or_default()
     }
 
-    /// Seal a per-source buffer inline: build then install on this thread.
-    /// `last_lsn` is the WAL LSN of the newest row being sealed (0 without
-    /// a WAL): once the batch lands in its container the source's sealed
-    /// low-water mark advances so recovery never replays these rows a
-    /// second time.
-    fn seal_source_batch(
-        &self,
-        source: SourceId,
-        meta: SourceMeta,
-        ts: Vec<i64>,
-        cols: Vec<Vec<Option<f64>>>,
-        last_lsn: u64,
-    ) -> Result<()> {
+    /// The one seal routine, for source, MG and side jobs alike: encode
+    /// the job's rows into batches, install them, and advance the replay
+    /// low-water mark the rows were logged under, so recovery never
+    /// replays them a second time. Inline callers (a full buffer, the
+    /// queue-full fallback, `flush`) already hold the seal ticket of the
+    /// take. A seal worker passes its pipeline and takes its own ticket
+    /// across the install and the job's removal from the pending set, so
+    /// to readers the rows move from "pending" to "sealed" atomically.
+    fn seal_job(&self, job: PendingSeal, worker: Option<&SealPipeline>) -> Result<()> {
         let _span = self.obs.registry.span("seal", &self.obs.seal);
-        let batches = self.build_source_batches(source, meta, ts, cols)?;
-        self.install_built(&batches)?;
-        self.advance_sealed(source, last_lsn);
-        Ok(())
-    }
-
-    fn seal_mg_batch(
-        &self,
-        group: GroupId,
-        ts: Vec<i64>,
-        ids: Vec<SourceId>,
-        cols: Vec<Vec<Option<f64>>>,
-        last_lsn: u64,
-    ) -> Result<()> {
-        let _span = self.obs.registry.span("seal", &self.obs.seal);
-        if let Some(b) = self.build_mg_batch(group, ts, ids, cols)? {
-            self.install_built(std::slice::from_ref(&b))?;
+        let PendingSeal { id, kind, ts, ids, cols, last_lsn, .. } = job;
+        let install = |batches: &[BuiltBatch]| -> Result<()> {
+            let _ticket = worker.map(|_| self.seals.begin());
+            self.install_built(batches)?;
+            if let Some(pipe) = worker {
+                pipe.remove_pending(id);
+            }
+            Ok(())
+        };
+        match kind {
+            JobKind::Source { source, meta } => {
+                install(&self.build_source_batches(source, meta, ts, cols)?)?;
+                self.registry.advance_sealed(source.0, last_lsn);
+            }
+            JobKind::Mg { group } => {
+                install(self.build_mg_batch(group, ts, ids, cols)?.as_slice())?;
+                self.registry.advance_mg_sealed(group.0, last_lsn);
+            }
+            JobKind::Side { source, meta } => {
+                // Late rows seal as IRTS even for RTS-class sources: a late
+                // run rarely has exact spacing, and the compactor re-types
+                // merged windows anyway.
+                let irts = SourceMeta { ingest: Structure::Irts, ..meta };
+                install(&self.build_source_batches(source, irts, ts, cols)?)?;
+                self.registry.advance_late_sealed(source.0, last_lsn);
+                self.stats.ooo_side_batches.inc();
+            }
         }
-        self.advance_mg_sealed(group, last_lsn);
         Ok(())
     }
 
@@ -1739,15 +1582,6 @@ impl OdhTable {
         Ok(())
     }
 
-    /// Advance a source's sealed low-water mark (recovery idempotence).
-    fn advance_sealed(&self, source: SourceId, last_lsn: u64) {
-        self.registry.advance_sealed(source.0, last_lsn);
-    }
-
-    fn advance_mg_sealed(&self, group: GroupId, last_lsn: u64) {
-        self.registry.advance_mg_sealed(group.0, last_lsn);
-    }
-
     /// Drain the thread-local codec tallies accumulated while encoding
     /// into the per-codec column counters.
     pub(crate) fn note_codec_counts(&self) {
@@ -1781,25 +1615,7 @@ impl OdhTable {
         t2: Timestamp,
         tags: &[usize],
     ) -> Result<Vec<ScanPoint>> {
-        self.historical_scan_filtered(source, t1, t2, tags, &[])
-    }
-
-    /// [`OdhTable::historical_scan`] with **tag zone-map pruning**: batches
-    /// whose per-tag zone bounds cannot intersect every `(tag, lo, hi)`
-    /// range are skipped without decoding their blobs — the paper's §6
-    /// future work ("proper indexing to reduce BLOB scanning for queries
-    /// on attribute values"). Rows are still emitted unfiltered (callers
-    /// re-apply exact predicates); pruning only removes batches that can
-    /// contain no match.
-    pub fn historical_scan_filtered(
-        &self,
-        source: SourceId,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-        tag_ranges: &[(usize, f64, f64)],
-    ) -> Result<Vec<ScanPoint>> {
-        self.scan_rows(Scope::Source(source), t1, t2, tags, tag_ranges)
+        self.scan_rows(Scope::Source(source), t1, t2, tags)
     }
 
     /// Slice query: points of many sources within a short window
@@ -1811,20 +1627,7 @@ impl OdhTable {
         tags: &[usize],
         sources: Option<&HashSet<SourceId>>,
     ) -> Result<Vec<ScanPoint>> {
-        self.slice_scan_filtered(t1, t2, tags, sources, &[])
-    }
-
-    /// [`OdhTable::slice_scan`] with tag zone-map pruning (see
-    /// [`OdhTable::historical_scan_filtered`]).
-    pub fn slice_scan_filtered(
-        &self,
-        t1: Timestamp,
-        t2: Timestamp,
-        tags: &[usize],
-        sources: Option<&HashSet<SourceId>>,
-        tag_ranges: &[(usize, f64, f64)],
-    ) -> Result<Vec<ScanPoint>> {
-        self.scan_rows(Scope::Sources(sources), t1, t2, tags, tag_ranges)
+        self.scan_rows(Scope::Sources(sources), t1, t2, tags)
     }
 
     /// The row consumer: every row of `scope`, sorted by `(ts, source)`.
@@ -1837,10 +1640,9 @@ impl OdhTable {
         t1: Timestamp,
         t2: Timestamp,
         tags: &[usize],
-        tag_ranges: &[(usize, f64, f64)],
     ) -> Result<Vec<ScanPoint>> {
         let Sink::Rows(mut out) =
-            self.read_consistent(scope, t1, t2, tags, tag_ranges, None, || Sink::Rows(vec![]))?
+            self.read_consistent(scope, t1, t2, tags, &[], None, || Sink::Rows(vec![]))?
         else {
             unreachable!("a row read yields rows")
         };
@@ -1859,9 +1661,11 @@ impl OdhTable {
     /// Vectorized SQL execution re-applies residual filters, so no
     /// per-row filtering happens here beyond the time clip and the
     /// optional `sources` restriction — but `tag_ranges` still zone-prunes
-    /// whole sealed batches by their header bounds, exactly like
-    /// [`OdhTable::slice_scan_filtered`] (pruning only removes batches
-    /// that can contain no match, so residual re-checks stay sound).
+    /// whole sealed batches whose per-tag zone bounds cannot intersect
+    /// every `(tag, lo, hi)` range, without decoding their blobs (the
+    /// paper's §6 future work, "proper indexing to reduce BLOB scanning
+    /// for queries on attribute values"). Pruning only removes batches
+    /// that can contain no match, so residual re-checks stay sound.
     ///
     /// With `summaries`, a sealed batch lying wholly inside `[t1, t2]` and
     /// inside one bucket of the grain comes back as its seal-time
@@ -1897,7 +1701,8 @@ impl OdhTable {
     }
 
     /// Columnar historical scan: the rows of
-    /// [`OdhTable::historical_scan_filtered`] as [`ColumnarChunk`]s, in
+    /// [`OdhTable::historical_scan`] as [`ColumnarChunk`]s, zone-pruned by
+    /// `tag_ranges` like [`OdhTable::scan_columnar`], in
     /// read order, under the same one-source scope: `NotFound` for an
     /// unregistered source, and every per-source generation read whatever
     /// the source's class. No summaries.
@@ -2610,6 +2415,7 @@ pub(crate) fn sort_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WalEntry;
     use odh_pager::disk::MemDisk;
     use odh_types::Duration;
 
@@ -2992,6 +2798,68 @@ mod tests {
         let pts = t.historical_scan(SourceId(1), Timestamp(0), Timestamp(i64::MAX), &[0]).unwrap();
         assert_eq!(pts.len(), 5);
         assert!(pts.windows(2).all(|w| w[0].ts <= w[1].ts));
+    }
+
+    /// Two writers of one RTS source, interleaving timestamps through
+    /// `put_cols`: a row behind a batch the other writer just took must
+    /// take the side path, so each open-path (RTS) batch begins at or
+    /// after the end of the batch taken before it. Take order is read
+    /// back from the WAL: per-source LSN order is buffer order, and the
+    /// open buffer is taken every `B` point frames. Side rows are logged
+    /// as late frames and are not checked.
+    #[test]
+    fn two_writers_of_one_source_never_seal_behind_each_other() {
+        const B: usize = 8;
+        const RUNS: i64 = 150;
+        const RUN: i64 = 3;
+        for _ in 0..40 {
+            let t = table(B);
+            let dir = Arc::new(odh_pager::log::MemLogDir::new());
+            let wal = Wal::create(dir.clone(), ResourceMeter::unmetered()).unwrap();
+            t.attach_wal(wal.clone(), 1, false).unwrap();
+            t.register_source(SourceId(1), SourceClass::regular_high(Duration::from_micros(10)))
+                .unwrap();
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for parity in 0..2i64 {
+                    let (t, start) = (&t, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for run in 0..RUNS {
+                            let ts: Vec<i64> =
+                                (0..RUN).map(|k| ((run * RUN + k) * 2 + parity) * 10).collect();
+                            let a: Vec<Option<f64>> = ts.iter().map(|&x| Some(x as f64)).collect();
+                            t.put_cols(SourceId(1), &ts, &[a, vec![None; ts.len()]]).unwrap();
+                        }
+                    });
+                }
+            });
+            t.flush().unwrap();
+            wal.sync().unwrap();
+            let (_, rec) = Wal::open(dir, ResourceMeter::unmetered()).unwrap();
+            let mut open: Vec<(u64, i64)> = rec
+                .frames
+                .iter()
+                .filter_map(|f| match &f.entry {
+                    WalEntry::Point { record, late: false, .. } => {
+                        Some((f.lsn, record.ts.micros()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            open.sort();
+            let batches: Vec<(i64, i64)> = open
+                .chunks(B)
+                .map(|c| {
+                    c.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &(_, t)| (lo.min(t), hi.max(t)))
+                })
+                .collect();
+            for w in batches.windows(2) {
+                assert!(w[1].0 >= w[0].1, "batch {:?} begins inside {:?}", w[1], w[0]);
+            }
+            let rows = t.slice_scan(Timestamp::MIN, Timestamp::MAX, &[0], None).unwrap().len();
+            assert_eq!(rows as i64, 2 * RUNS * RUN, "every row lands once");
+        }
     }
 
     /// A summary-permitting columnar scan folded per bucket of `grain`

@@ -45,6 +45,7 @@
 //!   frames that open buffers still need stay in the segments that hold
 //!   them, and a crash at any step leaves every needed frame in place.
 
+use crate::buffer::Cols;
 use crate::delete::DeletePredicate;
 use crate::snapshot::TableConfigSnapshot;
 use odh_pager::log::{LogDir, LogStore};
@@ -79,9 +80,15 @@ const KIND_LATE_POINT: u8 = 5;
 /// One recovered WAL entry.
 #[derive(Debug, Clone)]
 pub enum WalEntry {
+    /// A point appended to an ingest buffer. `late` marks a point that
+    /// arrived below its source's seal watermark and was routed to the
+    /// side buffer: same body, a distinct frame kind, so replay routes it
+    /// back through the side buffer and the two per-source low-water
+    /// marks stay independent.
     Point {
         table: u16,
         record: Record,
+        late: bool,
     },
     TableDef {
         table: u16,
@@ -95,14 +102,6 @@ pub enum WalEntry {
     Delete {
         table: u16,
         predicate: DeletePredicate,
-    },
-    /// A point that arrived below its source's seal watermark and was
-    /// routed to the side buffer. Identical body to `Point`; the distinct
-    /// kind routes replay back through the side buffer so the two
-    /// per-source low-water marks stay independent.
-    LatePoint {
-        table: u16,
-        record: Record,
     },
 }
 
@@ -307,114 +306,56 @@ impl Wal {
         }
     }
 
-    /// Append one point. The caller must hold the ingest-shard lock of
-    /// `record.source` across this call and the buffer push, which makes
-    /// per-source LSN order identical to buffer order.
-    pub fn append_point(&self, table: u16, record: &Record) -> Result<u64> {
-        self.append_point_kind(KIND_POINT, table, record)
-    }
-
-    /// Append one late (out-of-order) point. Same body as
-    /// [`Wal::append_point`], distinct kind: replay routes it into the
-    /// side buffer under the `late_sealed` low-water mark. The caller must
-    /// hold the **side-buffer** shard lock of `record.source` across this
-    /// call and the side-buffer push.
-    pub fn append_late_point(&self, table: u16, record: &Record) -> Result<u64> {
-        self.append_point_kind(KIND_LATE_POINT, table, record)
-    }
-
-    fn append_point_kind(&self, kind: u8, table: u16, record: &Record) -> Result<u64> {
-        self.append(stripe_of(record.source.0), kind, |buf| {
-            buf.extend_from_slice(&table.to_le_bytes());
-            buf.extend_from_slice(&record.source.0.to_le_bytes());
-            buf.extend_from_slice(&record.ts.micros().to_le_bytes());
-            buf.extend_from_slice(&(record.values.len() as u16).to_le_bytes());
-            for chunk in record.values.chunks(8) {
-                let mut bm = 0u8;
-                for (i, v) in chunk.iter().enumerate() {
-                    if v.is_some() {
-                        bm |= 1 << i;
-                    }
-                }
-                buf.push(bm);
-            }
-            for v in record.values.iter().flatten() {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        })
-    }
-
     /// Append a same-source run of points under a **single** stripe-lock
-    /// acquisition — the batch-ingest counterpart of [`Wal::append_point`].
-    /// Each row still becomes its own point frame with its own LSN (the
-    /// log bytes are identical to appending the rows one at a time, so
-    /// recovery is untouched); only the locking is amortized. `cols` is
-    /// column-major: `cols[tag][row]`. Returns the `(first, last)` LSNs
-    /// of the run.
+    /// acquisition: each row becomes its own point frame with its own LSN,
+    /// so the log bytes are those of appending the rows one at a time.
+    /// `late` selects the late-point frame kind (rows routed to the side
+    /// buffer). The caller must hold the shard lock of the buffer the rows
+    /// enter across this call and the buffer push, which makes per-source
+    /// LSN order identical to buffer order. Returns the `(first, last)`
+    /// LSNs of the run.
     pub fn append_run(
         &self,
         table: u16,
         source: u64,
+        late: bool,
         ts: &[i64],
-        cols: &[Vec<Option<f64>>],
+        cols: Cols<'_>,
         rows: std::ops::Range<usize>,
     ) -> Result<(u64, u64)> {
+        let kind = if late { KIND_LATE_POINT } else { KIND_POINT };
+        let tags = cols.len();
         let mut s = self.stripes[stripe_of(source)].lock();
-        let _span = s
-            .appends
-            .is_multiple_of(APPEND_SAMPLE)
-            .then(|| self.obs.registry.span("wal_append", &self.obs.append_hist));
-        let mut first = None;
-        let mut last = 0u64;
+        let _span = self.sample_append(&s);
+        let mut lsns = (0, 0);
         for row in rows {
-            // LSN assignment and encoding are atomic under the stripe
-            // lock, as in `append`: within a source, file order is LSN
-            // order.
-            let lsn = self.next_lsn.fetch_add(1, Ordering::AcqRel);
-            first.get_or_insert(lsn);
-            last = lsn;
-            let frame_start = s.buf.len();
-            s.buf.extend_from_slice(&[0u8; 8]); // len + crc placeholders
-            let payload_start = s.buf.len();
-            s.buf.extend_from_slice(&lsn.to_le_bytes());
-            s.buf.push(KIND_POINT);
-            s.buf.extend_from_slice(&table.to_le_bytes());
-            s.buf.extend_from_slice(&source.to_le_bytes());
-            s.buf.extend_from_slice(&ts[row].to_le_bytes());
-            s.buf.extend_from_slice(&(cols.len() as u16).to_le_bytes());
-            for chunk in cols.chunks(8) {
-                let mut bm = 0u8;
-                for (i, col) in chunk.iter().enumerate() {
-                    if col[row].is_some() {
-                        bm |= 1 << i;
+            let lsn = self.stage(&mut s, kind, |buf| {
+                buf.extend_from_slice(&table.to_le_bytes());
+                buf.extend_from_slice(&source.to_le_bytes());
+                buf.extend_from_slice(&ts[row].to_le_bytes());
+                buf.extend_from_slice(&(tags as u16).to_le_bytes());
+                for tag0 in (0..tags).step_by(8) {
+                    let mut bm = 0u8;
+                    for (i, tag) in (tag0..tags.min(tag0 + 8)).enumerate() {
+                        if cols.col(tag)[row].is_some() {
+                            bm |= 1 << i;
+                        }
+                    }
+                    buf.push(bm);
+                }
+                for col in cols.iter() {
+                    if let Some(v) = col[row] {
+                        buf.extend_from_slice(&v.to_le_bytes());
                     }
                 }
-                s.buf.push(bm);
+            })?;
+            if lsns.0 == 0 {
+                lsns.0 = lsn;
             }
-            for col in cols {
-                if let Some(v) = col[row] {
-                    s.buf.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            let payload_len = s.buf.len() - payload_start;
-            if payload_len > MAX_FRAME {
-                s.buf.truncate(frame_start);
-                return Err(OdhError::Config(format!(
-                    "wal: frame of {payload_len} bytes exceeds limit"
-                )));
-            }
-            let crc = crc32(&s.buf[payload_start..]);
-            s.buf[frame_start..frame_start + 4]
-                .copy_from_slice(&(payload_len as u32).to_le_bytes());
-            s.buf[frame_start + 4..frame_start + 8].copy_from_slice(&crc.to_le_bytes());
-            s.appends += 1;
-            s.bytes_appended += (8 + payload_len) as u64;
-            s.max_lsn = lsn;
+            lsns.1 = lsn;
         }
-        if s.buf.len() >= self.group_commit_bytes {
-            self.flush_stripe(&mut s)?;
-        }
-        Ok((first.unwrap_or(0), last))
+        self.commit_if_full(&mut s)?;
+        Ok(lsns)
     }
 
     /// Append a table definition (so a server can be rebuilt from an
@@ -450,10 +391,7 @@ impl Wal {
         })
     }
 
-    /// The shared frame writer: encodes `len | crc | lsn | kind | body`
-    /// **directly into the stripe's staging buffer** — the body writer
-    /// appends in place, then the length and CRC placeholders are patched.
-    /// No temporary allocation happens on the append path.
+    /// Append one frame of `kind` whose body `write_body` encodes.
     fn append(
         &self,
         stripe: usize,
@@ -461,12 +399,32 @@ impl Wal {
         write_body: impl FnOnce(&mut Vec<u8>),
     ) -> Result<u64> {
         let mut s = self.stripes[stripe].lock();
-        let _span = s
-            .appends
+        let _span = self.sample_append(&s);
+        let lsn = self.stage(&mut s, kind, write_body)?;
+        self.commit_if_full(&mut s)?;
+        Ok(lsn)
+    }
+
+    /// Time every [`APPEND_SAMPLE`]th append call on a stripe, so the
+    /// other appends pay no clock reads.
+    fn sample_append(&self, s: &Stripe) -> Option<odh_obs::Span<'_>> {
+        s.appends
             .is_multiple_of(APPEND_SAMPLE)
-            .then(|| self.obs.registry.span("wal_append", &self.obs.append_hist));
-        // LSN assignment and encoding are atomic under the stripe lock, so
-        // within a stripe (hence within a source) file order is LSN order.
+            .then(|| self.obs.registry.span("wal_append", &self.obs.append_hist))
+    }
+
+    /// The frame writer: encodes `len | crc | lsn | kind | body` **directly
+    /// into the stripe's staging buffer** — the body writer appends in
+    /// place, then the length and CRC placeholders are patched. No
+    /// temporary allocation happens on the append path. LSN assignment and
+    /// encoding are atomic under the stripe lock, so within a stripe (hence
+    /// within a source) file order is LSN order.
+    fn stage(
+        &self,
+        s: &mut Stripe,
+        kind: u8,
+        write_body: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u64> {
         let lsn = self.next_lsn.fetch_add(1, Ordering::AcqRel);
         let frame_start = s.buf.len();
         s.buf.extend_from_slice(&[0u8; 8]); // len + crc placeholders
@@ -487,10 +445,15 @@ impl Wal {
         s.appends += 1;
         s.bytes_appended += (8 + payload_len) as u64;
         s.max_lsn = lsn;
-        if s.buf.len() >= self.group_commit_bytes {
-            self.flush_stripe(&mut s)?;
-        }
         Ok(lsn)
+    }
+
+    /// Group commit: flush the stripe once its staging buffer is full.
+    fn commit_if_full(&self, s: &mut MutexGuard<'_, Stripe>) -> Result<()> {
+        if s.buf.len() >= self.group_commit_bytes {
+            self.flush_stripe(s)?;
+        }
+        Ok(())
     }
 
     fn flush_stripe(&self, s: &mut MutexGuard<'_, Stripe>) -> Result<()> {
@@ -647,7 +610,7 @@ fn parse_frames(bytes: &[u8]) -> (Vec<WalFrame>, usize, Option<String>) {
     (frames, off, reason)
 }
 
-/// Decode the shared `Point`/`LatePoint` frame body.
+/// Decode a point frame body (both point kinds).
 fn decode_point_body(body: &[u8]) -> Result<(u16, Record)> {
     let short = || OdhError::Corrupt("wal: truncated frame body".into());
     if body.len() < 20 {
@@ -681,13 +644,9 @@ fn decode_point_body(body: &[u8]) -> Result<(u16, Record)> {
 fn decode_entry(kind: u8, body: &[u8]) -> Result<WalEntry> {
     let short = || OdhError::Corrupt("wal: truncated frame body".into());
     match kind {
-        KIND_POINT => {
+        KIND_POINT | KIND_LATE_POINT => {
             let (table, record) = decode_point_body(body)?;
-            Ok(WalEntry::Point { table, record })
-        }
-        KIND_LATE_POINT => {
-            let (table, record) = decode_point_body(body)?;
-            Ok(WalEntry::LatePoint { table, record })
+            Ok(WalEntry::Point { table, record, late: kind == KIND_LATE_POINT })
         }
         KIND_DELETE => {
             if body.len() < 2 {
@@ -797,6 +756,16 @@ mod tests {
         Record::new(SourceId(src), Timestamp(ts), vec![Some(ts as f64); 250])
     }
 
+    /// Append one record as a one-row run.
+    fn append(wal: &Wal, table: u16, r: &Record, late: bool) -> Result<u64> {
+        let ts = [r.ts.micros()];
+        wal.append_run(table, r.source.0, late, &ts, Cols::Row(&r.values), 0..1).map(|(lsn, _)| lsn)
+    }
+
+    fn append_row(wal: &Wal, table: u16, r: &Record) -> Result<u64> {
+        append(wal, table, r, false)
+    }
+
     fn recovered_lsns(dir: Arc<MemLogDir>) -> Vec<u64> {
         let (_, rec) = Wal::open(dir, ResourceMeter::unmetered()).unwrap();
         rec.frames.iter().map(|f| f.lsn).collect()
@@ -816,7 +785,7 @@ mod tests {
         wal.append_table_def(3, &cfg).unwrap();
         wal.append_source(3, SourceId(7), &SourceClass::irregular_high()).unwrap();
         for i in 0..10i64 {
-            wal.append_point(3, &point(7, i)).unwrap();
+            append_row(&wal, 3, &point(7, i)).unwrap();
         }
         assert_eq!(wal.sync().unwrap(), 12);
         assert_eq!(wal.durable_lsn(), 12);
@@ -834,8 +803,8 @@ mod tests {
             e => panic!("expected table def, got {e:?}"),
         }
         match &rec.frames[5].entry {
-            WalEntry::Point { table, record } => {
-                assert_eq!(*table, 3);
+            WalEntry::Point { table, record, late } => {
+                assert_eq!((*table, *late), (3, false));
                 assert_eq!(record.ts, Timestamp(3));
                 assert_eq!(record.values, vec![Some(3.0), None, Some(-1.0)]);
             }
@@ -843,10 +812,33 @@ mod tests {
         }
     }
 
+    /// The point-frame layout, byte for byte: `len | crc | lsn | kind |
+    /// table | source | ts | tag count | NULL bitmap | non-NULL values`.
+    #[test]
+    fn point_frames_keep_their_byte_layout() {
+        let (dir, wal) = mem_wal();
+        let values = [Some(1.5), None, None, None, None, None, None, None, Some(-2.0)];
+        append(&wal, 3, &Record::new(SourceId(7), Timestamp(-9), values.to_vec()), true).unwrap();
+        wal.sync().unwrap();
+        let mut payload = 1u64.to_le_bytes().to_vec();
+        payload.push(KIND_LATE_POINT);
+        payload.extend_from_slice(&3u16.to_le_bytes());
+        payload.extend_from_slice(&7u64.to_le_bytes());
+        payload.extend_from_slice(&(-9i64).to_le_bytes());
+        payload.extend_from_slice(&9u16.to_le_bytes());
+        payload.extend_from_slice(&[0b0000_0001, 0b0000_0001]);
+        payload.extend_from_slice(&1.5f64.to_le_bytes());
+        payload.extend_from_slice(&(-2.0f64).to_le_bytes());
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        assert_eq!(dir.open(1).unwrap().read_all().unwrap(), frame);
+    }
+
     #[test]
     fn late_point_and_delete_frames_round_trip() {
         let (dir, wal) = mem_wal();
-        wal.append_late_point(3, &point(7, 41)).unwrap();
+        append(&wal, 3, &point(7, 41), true).unwrap();
         let pred = DeletePredicate::for_sources(10, 20, [SourceId(7), SourceId(9)]);
         wal.append_delete(3, &pred).unwrap();
         wal.append_delete(4, &DeletePredicate::all_sources(i64::MIN, 0)).unwrap();
@@ -854,8 +846,8 @@ mod tests {
         let (_, rec) = Wal::open(dir, ResourceMeter::unmetered()).unwrap();
         assert_eq!(rec.frames.len(), 3);
         match &rec.frames[0].entry {
-            WalEntry::LatePoint { table, record } => {
-                assert_eq!(*table, 3);
+            WalEntry::Point { table, record, late } => {
+                assert_eq!((*table, *late), (3, true));
                 assert_eq!(record.source, SourceId(7));
                 assert_eq!(record.ts, Timestamp(41));
             }
@@ -878,7 +870,7 @@ mod tests {
     fn group_commit_batches_appends() {
         let (dir, wal) = mem_wal();
         for i in 0..100i64 {
-            wal.append_point(0, &point(1, i)).unwrap();
+            append_row(&wal, 0, &point(1, i)).unwrap();
         }
         // Nothing flushed yet (well under the threshold), one commit on sync.
         assert_eq!(dir.total_len(), 0);
@@ -896,7 +888,7 @@ mod tests {
     fn torn_tail_is_truncated_and_survivors_parse() {
         let (dir, wal) = mem_wal();
         for i in 0..5i64 {
-            wal.append_point(0, &point(2, i)).unwrap();
+            append_row(&wal, 0, &point(2, i)).unwrap();
         }
         wal.sync().unwrap();
         let good = dir.total_len();
@@ -913,7 +905,7 @@ mod tests {
     fn bit_flip_stops_parse_at_corrupt_frame() {
         let (dir, wal) = mem_wal();
         for i in 0..8i64 {
-            wal.append_point(0, &point(3, i)).unwrap();
+            append_row(&wal, 0, &point(3, i)).unwrap();
         }
         wal.sync().unwrap();
         // Flip a bit in the 6th frame's payload; frames 1..=5 survive.
@@ -928,26 +920,26 @@ mod tests {
     fn truncate_through_keeps_tail_frames() {
         let (dir, wal) = mem_wal();
         for i in 0..7i64 {
-            wal.append_point(0, &point(4, i)).unwrap();
+            append_row(&wal, 0, &point(4, i)).unwrap();
         }
         // Mark 0 drops nothing but closes LSNs 1..=7 into segment 1.
         wal.truncate_through(0).unwrap();
         for i in 7..10i64 {
-            wal.append_point(0, &point(4, i)).unwrap();
+            append_row(&wal, 0, &point(4, i)).unwrap();
         }
         wal.sync().unwrap();
         wal.truncate_through(7).unwrap();
         assert_eq!(dir.list().unwrap(), vec![2, 3], "segment 1 dropped, 2 closed, 3 active");
         assert_eq!(recovered_lsns(dir), vec![8, 9, 10]);
         // New appends continue above the old maximum.
-        assert_eq!(wal.append_point(0, &point(4, 99)).unwrap(), 11);
+        assert_eq!(append_row(&wal, 0, &point(4, 99)).unwrap(), 11);
     }
 
     #[test]
     fn truncate_everything_empties_the_log() {
         let (dir, wal) = mem_wal();
         for i in 0..10i64 {
-            wal.append_point(0, &point(4, i)).unwrap();
+            append_row(&wal, 0, &point(4, i)).unwrap();
         }
         wal.sync().unwrap();
         wal.truncate_through(wal.max_lsn()).unwrap();
@@ -964,7 +956,7 @@ mod tests {
         let mut ts = 0;
         while dir.list().unwrap().len() == 1 {
             assert!(wal.log_bytes() < SEGMENT_BYTES, "the active segment passed the size");
-            wal.append_point(0, &wide_point(1, ts)).unwrap();
+            append_row(&wal, 0, &wide_point(1, ts)).unwrap();
             ts += 1;
         }
         // The roll came with the group commit that crossed the size.
@@ -987,12 +979,12 @@ mod tests {
         // Segments 1..=4 hold LSNs 1..=5, 6..=10, 11..=15 and 16..=18.
         for (seg, lsns) in [(1, 1..=5), (2, 6..=10), (3, 11..=15)] {
             for lsn in lsns {
-                wal.append_point(0, &point(seg, lsn)).unwrap();
+                append_row(&wal, 0, &point(seg, lsn)).unwrap();
             }
             wal.truncate_through(0).unwrap();
         }
         for lsn in 16..=18 {
-            wal.append_point(0, &point(4, lsn)).unwrap();
+            append_row(&wal, 0, &point(4, lsn)).unwrap();
         }
         wal.sync().unwrap();
         assert_eq!(dir.list().unwrap(), vec![1, 2, 3, 4]);
@@ -1015,12 +1007,12 @@ mod tests {
     fn open_over_several_segments_keeps_everything_before_a_torn_tail() {
         let (dir, wal) = mem_wal();
         for lsn in 1..=12i64 {
-            wal.append_point(0, &point(lsn as u64 % 3, lsn)).unwrap();
+            append_row(&wal, 0, &point(lsn as u64 % 3, lsn)).unwrap();
             if lsn % 4 == 0 {
                 wal.truncate_through(0).unwrap();
             }
         }
-        wal.append_point(0, &point(0, 13)).unwrap();
+        append_row(&wal, 0, &point(0, 13)).unwrap();
         wal.sync().unwrap();
         drop(wal);
         assert_eq!(dir.list().unwrap(), vec![1, 2, 3, 4]);
@@ -1036,7 +1028,7 @@ mod tests {
         assert!(rec.warning.unwrap().contains("segment 4"));
         assert_eq!(newest.len(), good, "the newest segment is cut at the tear");
         // Appends resume in the cut segment, above the survivors.
-        assert_eq!(wal.append_point(0, &point(1, 14)).unwrap(), 14);
+        assert_eq!(append_row(&wal, 0, &point(1, 14)).unwrap(), 14);
         wal.sync().unwrap();
         assert_eq!(dir.list().unwrap(), vec![1, 2, 3, 4]);
         drop(wal);
@@ -1108,16 +1100,16 @@ mod tests {
         let dir = Arc::new(CountingDir { inner: MemLogDir::new(), read_bytes: read_bytes.clone() });
         let wal = Wal::create(dir.clone(), ResourceMeter::unmetered()).unwrap();
         for i in 0..2_000i64 {
-            wal.append_point(0, &point(i as u64 % 5, i)).unwrap();
+            append_row(&wal, 0, &point(i as u64 % 5, i)).unwrap();
         }
         wal.sync().unwrap();
         // A mark below the tail (open buffers) and one at the top.
         wal.truncate_through(1_000).unwrap();
-        wal.append_point(0, &point(1, 5_000)).unwrap();
+        append_row(&wal, 0, &point(1, 5_000)).unwrap();
         wal.truncate_through(wal.max_lsn()).unwrap();
         assert_eq!(read_bytes.load(Ordering::Relaxed), 0, "checkpoint read the log");
         // Control: recovery does read it.
-        wal.append_point(0, &point(1, 5_001)).unwrap();
+        append_row(&wal, 0, &point(1, 5_001)).unwrap();
         wal.sync().unwrap();
         Wal::open(dir, ResourceMeter::unmetered()).unwrap();
         assert!(read_bytes.load(Ordering::Relaxed) > 0);
@@ -1126,8 +1118,8 @@ mod tests {
     #[test]
     fn sparse_and_empty_value_vectors_round_trip() {
         let (dir, wal) = mem_wal();
-        wal.append_point(0, &Record::new(SourceId(1), Timestamp(5), vec![None, None])).unwrap();
-        wal.append_point(0, &Record::new(SourceId(1), Timestamp(6), vec![])).unwrap();
+        append_row(&wal, 0, &Record::new(SourceId(1), Timestamp(5), vec![None, None])).unwrap();
+        append_row(&wal, 0, &Record::new(SourceId(1), Timestamp(6), vec![])).unwrap();
         wal.sync().unwrap();
         let (_, rec) = Wal::open(dir, ResourceMeter::unmetered()).unwrap();
         match &rec.frames[0].entry {
@@ -1151,7 +1143,7 @@ mod tests {
                     let wal = &wal;
                     s.spawn(move || {
                         (0..PER_SOURCE)
-                            .map(|i| wal.append_point(0, &wide_point(src, i)).unwrap())
+                            .map(|i| append_row(wal, 0, &wide_point(src, i)).unwrap())
                             .collect::<Vec<u64>>()
                     })
                 })

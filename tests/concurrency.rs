@@ -203,10 +203,7 @@ fn parallel_scan_order_matches_serial_merge() {
         .servers()
         .iter()
         .flat_map(|s| {
-            s.table("t")
-                .unwrap()
-                .slice_scan_filtered(Timestamp::MIN, Timestamp::MAX, &[0], None, &[])
-                .unwrap()
+            s.table("t").unwrap().slice_scan(Timestamp::MIN, Timestamp::MAX, &[0], None).unwrap()
         })
         .map(|p| (p.ts.0, p.source.0 as i64))
         .collect();

@@ -7,7 +7,7 @@ use odh_core::Historian;
 use odh_pager::disk::MemDisk;
 use odh_pager::log::{LogStore, MemLogDir};
 use odh_sim::ResourceMeter;
-use odh_storage::{TableConfig, Wal};
+use odh_storage::{Cols, TableConfig, Wal};
 use odh_types::{Datum, Duration, Record, SchemaType, SourceClass, SourceId, Timestamp};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -161,16 +161,18 @@ fn torn_wal_tail_is_truncated_on_open() {
     let meter = ResourceMeter::unmetered();
     let wal = Wal::create(dir.clone(), meter.clone()).unwrap();
     let log = dir.segment(1).unwrap();
-    let rec = |i: i64| Record::dense(SourceId(7), Timestamp(i), [i as f64]);
+    let append = |i: i64| {
+        wal.append_run(3, 7, false, &[i], Cols::Row(&[Some(i as f64)]), 0..1).unwrap();
+    };
     for i in 0..5 {
-        wal.append_point(3, &rec(i)).unwrap();
+        append(i);
     }
     wal.sync().unwrap();
     let good_len = log.len();
 
     // A later flush tears mid-frame: a plausible header lands but the
     // payload is cut short.
-    wal.append_point(3, &rec(99)).unwrap();
+    append(99);
     wal.sync().unwrap();
     let full = log.read_all().unwrap();
     log.set_len(good_len + (full.len() as u64 - good_len) / 2).unwrap();
